@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/base/assert.h"
+
 namespace fractos {
 
 CapSpace::CapSpace(uint32_t quota) : quota_(quota) {}
@@ -13,17 +15,14 @@ uint64_t CapSpace::ref_key(const ObjectRef& ref) {
 }
 
 Result<CapId> CapSpace::install(CapEntry entry) {
-  if (live_ >= quota_) {
+  if (slots_.size() >= quota_) {
     return ErrorCode::kResourceExhausted;
   }
   // cids are NEVER reused: a stale cid held after revocation/purge must not silently alias a
   // newer capability (the confused-deputy hazard of POSIX fd reuse).
   const CapId cid = next_cid_++;
-  std::vector<CapId>& cids = by_ref_[ref_key(entry.ref)];
-  std::erase_if(cids, [this](CapId c) { return !slots_.contains(c); });
-  cids.push_back(cid);
+  by_ref_[ref_key(entry.ref)].push_back(cid);
   slots_.emplace(cid, std::move(entry));
-  ++live_;
   return cid;
 }
 
@@ -36,10 +35,18 @@ Result<CapEntry> CapSpace::get(CapId cid) const {
 }
 
 Status CapSpace::remove(CapId cid) {
-  if (slots_.erase(cid) == 0) {
+  auto it = slots_.find(cid);
+  if (it == slots_.end()) {
     return ErrorCode::kInvalidCapability;
   }
-  --live_;
+  auto bit = by_ref_.find(ref_key(it->second.ref));
+  FRACTOS_DCHECK(bit != by_ref_.end());
+  std::vector<CapId>& cids = bit->second;
+  cids.erase(std::find(cids.begin(), cids.end(), cid));
+  if (cids.empty()) {
+    by_ref_.erase(bit);
+  }
+  slots_.erase(it);
   return ok_status();
 }
 
@@ -51,21 +58,15 @@ size_t CapSpace::purge_refs(const std::vector<ObjectRef>& revoked) {
       continue;
     }
     std::vector<CapId>& cids = bit->second;
-    for (auto it = cids.begin(); it != cids.end();) {
-      auto sit = slots_.find(*it);
-      if (sit == slots_.end()) {
-        it = cids.erase(it);  // removed through remove(); dropped lazily here
-        continue;
+    purged += std::erase_if(cids, [this, &r](CapId c) {
+      auto sit = slots_.find(c);
+      FRACTOS_DCHECK(sit != slots_.end());
+      if (sit->second.ref != r) {
+        return false;  // key collision with a different ref
       }
-      if (sit->second.ref == r) {
-        slots_.erase(sit);
-        --live_;
-        ++purged;
-        it = cids.erase(it);
-      } else {
-        ++it;  // key collision with a different ref
-      }
-    }
+      slots_.erase(sit);
+      return true;
+    });
     if (cids.empty()) {
       by_ref_.erase(bit);
     }
@@ -75,7 +76,7 @@ size_t CapSpace::purge_refs(const std::vector<ObjectRef>& revoked) {
 
 std::vector<CapEntry> CapSpace::all_entries() const {
   std::vector<CapEntry> out;
-  out.reserve(live_);
+  out.reserve(slots_.size());
   for (const auto& [cid, entry] : slots_) {
     out.push_back(entry);
   }

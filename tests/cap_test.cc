@@ -4,8 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <tuple>
+#include <vector>
+
 #include "src/cap/cap_space.h"
 #include "src/cap/object_table.h"
+#include "src/sim/rng.h"
 
 namespace fractos {
 namespace {
@@ -198,7 +206,7 @@ TEST_F(ObjectTableTest, UnknownIndexIsInvalidCapability) {
 TEST_F(ObjectTableTest, SweepReclaimsInvalidatedObjects) {
   const ObjectIndex a = make_memory();
   const ObjectIndex b = make_memory();
-  table_.revoke(a, table_.reboot_count());
+  EXPECT_TRUE(table_.revoke(a, table_.reboot_count()).ok());
   EXPECT_EQ(table_.total_count(), 2u);
   EXPECT_EQ(table_.sweep_invalidated(), 1u);
   EXPECT_EQ(table_.total_count(), 1u);
@@ -246,7 +254,7 @@ TEST_F(ObjectTableTest, MonitorDelegateCountsChildren) {
 
 TEST_F(ObjectTableTest, MonitorDelegateRequiresNoExistingChildren) {
   const ObjectIndex idx = make_memory();
-  table_.create_revtree_child(kProc, idx);
+  EXPECT_TRUE(table_.create_revtree_child(kProc, idx).ok());
   EXPECT_EQ(table_.monitor_delegate(idx, table_.reboot_count(), MonitorSub{1, kProc, 1}).error(),
             ErrorCode::kInvalidArgument);
 }
@@ -431,7 +439,7 @@ TEST_F(CapSpaceTest, QuotaEnforced) {
   EXPECT_TRUE(space.install(entry(1)).ok());
   EXPECT_TRUE(space.install(entry(2)).ok());
   EXPECT_EQ(space.install(entry(3)).error(), ErrorCode::kResourceExhausted);
-  space.remove(0);
+  EXPECT_TRUE(space.remove(0).ok());
   EXPECT_TRUE(space.install(entry(3)).ok());
 }
 
@@ -448,17 +456,17 @@ TEST_F(CapSpaceTest, PurgeRefsDropsMatchingEntries) {
 
 TEST_F(CapSpaceTest, PurgeIgnoresDifferentGeneration) {
   CapSpace space;
-  space.install(entry(10));
+  EXPECT_TRUE(space.install(entry(10)).ok());
   EXPECT_EQ(space.purge_refs({ObjectRef{1, 10, 2}}), 0u);
   EXPECT_EQ(space.size(), 1u);
 }
 
 TEST_F(CapSpaceTest, AllEntriesListsLive) {
   CapSpace space;
-  space.install(entry(1));
+  EXPECT_TRUE(space.install(entry(1)).ok());
   const CapId b = space.install(entry(2)).value();
-  space.install(entry(3));
-  space.remove(b);
+  EXPECT_TRUE(space.install(entry(3)).ok());
+  EXPECT_TRUE(space.remove(b).ok());
   auto all = space.all_entries();
   EXPECT_EQ(all.size(), 2u);
 }
@@ -467,6 +475,134 @@ TEST_F(CapSpaceTest, InvalidCidRejected) {
   CapSpace space;
   EXPECT_EQ(space.get(0).error(), ErrorCode::kInvalidCapability);
   EXPECT_EQ(space.remove(12345).error(), ErrorCode::kInvalidCapability);
+}
+
+TEST_F(CapSpaceTest, PurgeAfterRemoveCountsOnlyLiveEntries) {
+  CapSpace space;
+  const CapId a = space.install(entry(10)).value();
+  const CapId b = space.install(entry(10)).value();
+  const CapId c = space.install(entry(10)).value();
+  const CapId d = space.install(entry(11)).value();
+  EXPECT_TRUE(space.remove(b).ok());
+  EXPECT_EQ(space.size(), 3u);
+  EXPECT_EQ(space.purge_refs({ObjectRef{1, 10, 1}}), 2u);
+  EXPECT_EQ(space.size(), 1u);
+  for (CapId cid : {a, b, c}) {
+    EXPECT_EQ(space.get(cid).error(), ErrorCode::kInvalidCapability);
+  }
+  EXPECT_TRUE(space.get(d).ok());
+  // Everything of that ref is gone: a second purge finds nothing, a remove of a purged cid
+  // is rejected, and the ref can be installed afresh.
+  EXPECT_EQ(space.purge_refs({ObjectRef{1, 10, 1}}), 0u);
+  EXPECT_EQ(space.remove(c).error(), ErrorCode::kInvalidCapability);
+  const CapId e = space.install(entry(10)).value();
+  EXPECT_EQ(space.size(), 2u);
+  EXPECT_EQ(space.purge_refs({ObjectRef{1, 10, 1}}), 1u);
+  EXPECT_EQ(space.get(e).error(), ErrorCode::kInvalidCapability);
+  EXPECT_EQ(space.size(), 1u);
+  EXPECT_EQ(space.all_entries().size(), 1u);
+}
+
+TEST_F(CapSpaceTest, PurgeKeepsRefWhoseKeyCollides) {
+  // The ref index key folds owner, reboot count and index into one word, so these two
+  // distinct refs share a bucket. Purging one must leave the other installed.
+  const ObjectRef x{1, 0, 0};
+  const ObjectRef y{0, ObjectIndex{1} << 40, 0};
+  CapSpace space;
+  CapEntry ex;
+  ex.ref = x;
+  CapEntry ey;
+  ey.ref = y;
+  const CapId a = space.install(ex).value();
+  const CapId b = space.install(ey).value();
+  const CapId c = space.install(ex).value();
+  EXPECT_EQ(space.purge_refs({x}), 2u);
+  EXPECT_EQ(space.get(a).error(), ErrorCode::kInvalidCapability);
+  EXPECT_EQ(space.get(c).error(), ErrorCode::kInvalidCapability);
+  ASSERT_TRUE(space.get(b).ok());
+  EXPECT_EQ(space.get(b).value().ref, y);
+  EXPECT_EQ(space.size(), 1u);
+  // Removing the survivor through its colliding bucket works too.
+  const CapId d = space.install(ex).value();
+  EXPECT_TRUE(space.remove(b).ok());
+  EXPECT_EQ(space.purge_refs({y}), 0u);
+  EXPECT_EQ(space.get(d).value().ref, x);
+  EXPECT_EQ(space.size(), 1u);
+}
+
+TEST_F(CapSpaceTest, MatchesReferenceModelUnderChurn) {
+  // Seeded differential test against a std::map model: mixed install/remove/purge traffic
+  // concentrated on a handful of refs (two of which collide in the ref index), checked
+  // after every step.
+  const ObjectRef x{1, 0, 0};
+  const ObjectRef y{0, ObjectIndex{1} << 40, 0};
+  const std::vector<ObjectRef> refs = {{1, 10, 1}, {1, 11, 1}, {1, 10, 2}, {2, 10, 1}, x, y};
+  constexpr uint32_t kQuota = 48;
+  CapSpace space(kQuota);
+  std::map<CapId, CapEntry> model;
+  Rng rng(0xC0FFEE);
+  uint64_t tag = 0;  // distinguishes entries of the same ref in all_entries()
+  auto key = [](const CapEntry& e) {
+    return std::tuple(e.ref.owner, e.ref.index, e.ref.reboot_count, e.mem.addr);
+  };
+  for (int step = 0; step < 100'000; ++step) {
+    const uint64_t op = rng.next_below(100);
+    std::optional<CapId> gone;  // a cid that must now be invalid
+    if (op < 50) {
+      CapEntry e;
+      e.ref = refs[rng.next_below(refs.size())];
+      e.mem.addr = tag++;
+      auto cid = space.install(e);
+      if (model.size() >= kQuota) {
+        ASSERT_EQ(cid.error(), ErrorCode::kResourceExhausted);
+      } else {
+        ASSERT_TRUE(cid.ok());
+        ASSERT_FALSE(model.contains(cid.value()));
+        model.emplace(cid.value(), e);
+      }
+    } else if (op < 85) {
+      // Mostly live cids; sometimes a cid that is dead or was never issued.
+      CapId cid = static_cast<CapId>(rng.next_below(tag + 2));
+      if (!model.empty() && rng.next_bool(0.8)) {
+        cid = std::next(model.begin(), rng.next_below(model.size()))->first;
+      }
+      const Status st = space.remove(cid);
+      if (model.erase(cid) == 1) {
+        ASSERT_TRUE(st.ok());
+      } else {
+        ASSERT_EQ(st.error(), ErrorCode::kInvalidCapability);
+      }
+      gone = cid;
+    } else {
+      std::vector<ObjectRef> revoked;
+      for (uint64_t n = rng.next_range(1, 3); n > 0; --n) {
+        revoked.push_back(refs[rng.next_below(refs.size())]);  // duplicates allowed
+      }
+      size_t expected = 0;
+      for (const ObjectRef& r : revoked) {
+        expected += std::erase_if(model, [&r](const auto& kv) { return kv.second.ref == r; });
+      }
+      ASSERT_EQ(space.purge_refs(revoked), expected) << "step " << step;
+    }
+
+    ASSERT_EQ(space.size(), model.size()) << "step " << step;
+    if (gone) {
+      ASSERT_EQ(space.get(*gone).error(), ErrorCode::kInvalidCapability);
+    }
+    std::vector<decltype(key(CapEntry{}))> want, got;
+    for (const auto& [cid, e] : model) {
+      auto g = space.get(cid);
+      ASSERT_TRUE(g.ok()) << "step " << step << " cid " << cid;
+      ASSERT_EQ(key(g.value()), key(e));
+      want.push_back(key(e));
+    }
+    for (const CapEntry& e : space.all_entries()) {
+      got.push_back(key(e));
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << "step " << step;
+  }
 }
 
 }  // namespace

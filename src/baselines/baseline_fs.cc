@@ -7,43 +7,19 @@
 
 namespace fractos {
 
-// In-flight state of one baseline-FS I/O, streamed in chunks like the kernel block layer.
-struct BaselineIoState {
+// I/O is streamed like the kernel block layer does: chunks of at most kStreamChunk bytes,
+// kStreamWindow in flight (each holding one staging slot).
+constexpr uint64_t kStreamChunk = 256ull << 10;
+constexpr uint32_t kStreamWindow = 2;
+
+// What the chunks of one baseline-FS I/O share.
+struct BaselineIo {
   bool is_write = false;
-  uint64_t dev_base = 0;
-  uint64_t off = 0;
-  uint64_t size = 0;
-  uint64_t issued = 0;
-  uint64_t completed = 0;
-  uint32_t in_flight = 0;
-  bool failed = false;
-  bool finished = false;
-  ErrorCode error = ErrorCode::kInternal;
+  uint64_t dev_off = 0;  // device offset of the op's first byte
   CapId mem = kInvalidCap;
-  CapId cont = kInvalidCap;
-  CapId err = kInvalidCap;
   // Stage-1 legs (device side) run one at a time within an op so chunk completions stagger
   // and the client-side leg overlaps the next chunk's device leg.
-  bool stage1_busy = false;
-  std::deque<std::function<void()>> stage1_waiting;
-
-  void acquire_stage1(std::function<void()> fn) {
-    if (stage1_busy) {
-      stage1_waiting.push_back(std::move(fn));
-      return;
-    }
-    stage1_busy = true;
-    fn();
-  }
-  void release_stage1() {
-    if (!stage1_waiting.empty()) {
-      auto fn = std::move(stage1_waiting.front());
-      stage1_waiting.pop_front();
-      fn();
-      return;
-    }
-    stage1_busy = false;
-  }
+  SlotPool stage1{1};
 };
 
 BaselineFs::BaselineFs(System* sys, uint32_t node, Controller& controller, BlockDevice* device)
@@ -192,104 +168,67 @@ void BaselineFs::handle_io(uint32_t open_id, bool is_write, Process::Received r)
     fail_op(r, ErrorCode::kInvalidArgument);
     return;
   }
-  auto st = std::make_shared<BaselineIoState>();
-  st->is_write = is_write;
-  st->dev_base = f.base;
-  st->off = off;
-  st->size = size;
-  st->mem = mem;
-  st->cont = cont;
+  CapId err = kInvalidCap;
   for (const auto& c : r.caps) {
     if (c.kind == ObjectKind::kRequest && c.cid != cont) {
-      st->err = c.cid;
+      err = c.cid;
       break;
     }
   }
-  io_pump(std::move(st));
+  auto io = std::make_shared<BaselineIo>();
+  io->is_write = is_write;
+  io->dev_off = f.base + off;
+  io->mem = mem;
+  Stream::run(
+      {.total = size, .chunk = std::min(params_.slot_bytes, kStreamChunk), .window = kStreamWindow},
+      [this, io](const Stream::Chunk& c) {
+        slot_pool_.acquire()
+            .and_then([this, io, c](size_t slot) { run_chunk(io, c, slot); })
+            .or_else([c](ErrorCode e) { c.done(e); });
+      },
+      [this, cont, err](Status s) {
+        if (s.ok()) {
+          proc_->request_invoke(cont);
+        } else if (err != kInvalidCap) {
+          proc_->request_invoke(err, Process::Args{}.imm_u64(0, static_cast<uint64_t>(s.error())));
+        }
+      });
 }
 
-void BaselineFs::io_pump(std::shared_ptr<BaselineIoState> st) {
-  if (st->finished) {
-    return;
-  }
-  if (st->failed) {
-    if (st->in_flight == 0) {
-      st->finished = true;
-      if (st->err != kInvalidCap) {
-        proc_->request_invoke(st->err,
-                              Process::Args{}.imm_u64(0, static_cast<uint64_t>(st->error)));
-      }
-    }
-    return;
-  }
-  if (st->completed == st->size) {
-    st->finished = true;
-    proc_->request_invoke(st->cont);
-    return;
-  }
-  while (!st->failed && st->issued < st->size && st->in_flight < params_.pipeline_depth) {
-    const uint64_t chunk =
-        std::min({st->size - st->issued, params_.slot_bytes, params_.stream_chunk});
-    const uint64_t op_off = st->issued;
-    st->issued += chunk;
-    ++st->in_flight;
-    slot_pool_.acquire()
-        .and_then([this, st, op_off, chunk](size_t slot) { run_chunk(st, slot, op_off, chunk); })
-        .or_else([this, st](ErrorCode e) {
-          --st->in_flight;
-          if (!st->failed) {
-            st->error = e;
-          }
-          st->failed = true;
-          io_pump(st);
-        });
-  }
-}
-
-void BaselineFs::run_chunk(std::shared_ptr<BaselineIoState> st, size_t slot_idx,
-                           uint64_t op_off, uint64_t chunk) {
-  const Slot& slot = slots_[slot_idx];
-  auto chunk_finished = [this, st, slot_idx, chunk](Status s) {
+void BaselineFs::run_chunk(std::shared_ptr<BaselineIo> io, const Stream::Chunk& c,
+                           size_t slot_idx) {
+  auto chunk_finished = [this, slot_idx, c](Status s) {
     slot_pool_.release(slot_idx);
-    --st->in_flight;
-    if (!s.ok()) {
-      if (!st->failed) {
-        st->error = s.error();
-      }
-      st->failed = true;
-    } else {
-      st->completed += chunk;
-    }
-    io_pump(st);
+    c.done(s);
   };
-  const uint64_t dev_off = st->dev_base + st->off + op_off;
+  const uint64_t dev_off = io->dev_off + c.offset();
 
-  if (st->is_write) {
-    st->acquire_stage1([this, st, slot_idx, dev_off, op_off, chunk, chunk_finished]() {
-      proc_->memory_copy(st->mem, slots_[slot_idx].mem, chunk, op_off, 0)
-          .on_ready([this, st, slot_idx, dev_off, chunk, chunk_finished](Status cs) {
-            st->release_stage1();
+  if (io->is_write) {
+    io->stage1.acquire().and_then([this, io, slot_idx, dev_off, c, chunk_finished](size_t) {
+      proc_->memory_copy(io->mem, slots_[slot_idx].mem, c.length(), c.offset(), 0)
+          .on_ready([this, io, slot_idx, dev_off, c, chunk_finished](Status cs) {
+            io->stage1.release(0);
             if (!cs.ok()) {
               chunk_finished(cs);
               return;
             }
-            device_->write(dev_off, proc_->read_mem(slots_[slot_idx].addr, chunk),
+            device_->write(dev_off, proc_->read_mem(slots_[slot_idx].addr, c.length()),
                            [chunk_finished](Status ws) { chunk_finished(ws); });
           });
     });
     return;
   }
 
-  st->acquire_stage1([this, st, slot_idx, dev_off, op_off, chunk, chunk_finished]() {
-    device_->read(dev_off, chunk, [this, st, slot_idx, op_off, chunk, chunk_finished](
-                                      Result<Payload> data) {
-      st->release_stage1();
+  io->stage1.acquire().and_then([this, io, slot_idx, dev_off, c, chunk_finished](size_t) {
+    device_->read(dev_off, c.length(), [this, io, slot_idx, c, chunk_finished](
+                                           Result<Payload> data) {
+      io->stage1.release(0);
       if (!data.ok()) {
         chunk_finished(data.error());
         return;
       }
       proc_->write_mem(slots_[slot_idx].addr, data.value().bytes());
-      proc_->memory_copy(slots_[slot_idx].mem, st->mem, chunk, 0, op_off)
+      proc_->memory_copy(slots_[slot_idx].mem, io->mem, c.length(), 0, c.offset())
           .on_ready([chunk_finished](Status cs) { chunk_finished(cs); });
     });
   });

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/futures/stream.h"
 #include "src/futures/timeout.h"
 #include "src/sim/metrics.h"
 
@@ -600,86 +601,33 @@ void Controller::bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, 
   // threshold the copy is one read followed by one write through the Controller's bounce
   // buffers; above it, fixed-size chunks are pipelined with up to two reads in flight, so a
   // chunk's write overlaps the next chunk's read.
-  struct CopyState {
-    Network* net;
-    Endpoint self;
-    CapEntry src;
-    CapEntry dst;
-    uint64_t total = 0;
-    uint64_t chunk = 0;
-    uint64_t next_read = 0;
-    uint64_t written = 0;
-    uint32_t reads_in_flight = 0;
-    bool failed = false;
-    std::function<void(Status)> done;
-  };
-  auto st = std::make_shared<CopyState>();
-  st->net = net_;
-  st->self = self;
-  st->src = src;
-  st->dst = dst;
-  st->total = total;
-  st->chunk = total <= config_.double_buffer_threshold ? total : config_.copy_chunk_bytes;
-  st->done = std::move(done);
   if (total == 0) {
-    net_->loop()->post([st]() { st->done(ok_status()); });
+    net_->loop()->post([done = std::move(done)]() { done(ok_status()); });
     return;
   }
-
-  // Recursive lambda via a shared function object. The self-capture is WEAK: pending RDMA
-  // callbacks hold the function strongly, so it lives exactly as long as the copy is in
-  // flight and is reclaimed afterwards (a strong self-capture would leak one CopyState per
-  // operation).
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [st, weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
-    auto pump = weak_pump.lock();
-    if (!pump) {
-      return;
-    }
-    while (!st->failed && st->next_read < st->total && st->reads_in_flight < 2) {
-      const uint64_t off = st->next_read;
-      const uint64_t len = std::min(st->chunk, st->total - off);
-      st->next_read += len;
-      ++st->reads_in_flight;
-      st->net->rdma_read(
-          st->self, st->src.mem.node, RdmaKey{st->src.ref.owner, st->src.ref.index,
-                                              st->src.ref.reboot_count},
-          st->src.mem.pool, st->src.mem.addr + off, len,
-          [st, pump, off, len](Result<Payload> data) {
-            --st->reads_in_flight;
-            if (st->failed) {
-              return;
-            }
-            if (!data.ok()) {
-              st->failed = true;
-              st->done(data.error());
-              return;
-            }
-            // Hand the read's Payload handle straight to the write — the bounce "copy"
-            // through the Controller moves no bytes in the simulator.
-            st->net->rdma_write(
-                st->self, st->dst.mem.node,
-                RdmaKey{st->dst.ref.owner, st->dst.ref.index, st->dst.ref.reboot_count},
-                st->dst.mem.pool, st->dst.mem.addr + off, std::move(data).value(),
-                [st, len](Status ws) {
-                  if (st->failed) {
-                    return;
-                  }
-                  if (!ws.ok()) {
-                    st->failed = true;
-                    st->done(ws);
-                    return;
-                  }
-                  st->written += len;
-                  if (st->written == st->total) {
-                    st->done(ok_status());
-                  }
-                });
-            (*pump)();
-          });
-    }
-  };
-  (*pump)();
+  Network* net = net_;
+  const uint64_t chunk =
+      total <= config_.double_buffer_threshold ? total : config_.copy_chunk_bytes;
+  Stream::run(
+      {.total = total, .chunk = chunk, .window = 2},
+      [net, self, src, dst](const Stream::Chunk& c) {
+        net->rdma_read(self, src.mem.node, key_of(src.ref), src.mem.pool,
+                       src.mem.addr + c.offset(), c.length(),
+                       [net, self, dst, c](Result<Payload> data) {
+                         if (!data.ok()) {
+                           c.done(data.error());
+                           return;
+                         }
+                         // Hand the read's Payload handle straight to the write — the
+                         // bounce "copy" through the Controller moves no bytes in the
+                         // simulator.
+                         net->rdma_write(self, dst.mem.node, key_of(dst.ref), dst.mem.pool,
+                                         dst.mem.addr + c.offset(), std::move(data).value(),
+                                         [c](Status ws) { c.done(ws); });
+                         c.ack();
+                       });
+      },
+      std::move(done));
 }
 
 void Controller::set_admission_limit(ProcessId pid, uint32_t limit) {

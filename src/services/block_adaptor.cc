@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/futures/stream.h"
 
 namespace fractos {
 
@@ -114,74 +115,28 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
   slot_pool_.acquire().and_then([this, device_off, size, dst, cont, r](size_t slot_idx) {
     const Slot slot = slots_[slot_idx];
     // Stream the read: device DMA of sub-chunk k+1 overlaps the network copy of sub-chunk k
-    // (each lands at its own offset inside the staging slot).
-    struct ReadState {
-      uint64_t issued = 0;
-      uint64_t copied = 0;
-      uint32_t device_in_flight = 0;  // up to 2: the device has parallel flash channels
-      bool failed = false;
-      ErrorCode error = ErrorCode::kInternal;
-      uint32_t copies_in_flight = 0;
-    };
-    auto rs = std::make_shared<ReadState>();
-    auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, rs, slot, size, cont, r]() {
-      if (rs->failed) {
-        if (rs->device_in_flight == 0 && rs->copies_in_flight == 0) {
-          rs->failed = false;  // report once
-          slot_pool_.release(slot.idx);
-          fail_op(r, rs->error);
-        }
-        return;
-      }
-      if (rs->copied == size) {
-        slot_pool_.release(slot.idx);
-        // Invoke the continuation VERBATIM (decentralized control flow).
-        proc_->request_invoke(cont);
-      }
-    };
-    *pump = [this, rs, finish_check, slot, device_off, size, dst,
-             weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
-      auto pump = weak_pump.lock();
-      if (!pump) {
-        return;
-      }
-      while (!rs->failed && rs->device_in_flight < 2 && rs->issued < size) {
-      const uint64_t sub_off = rs->issued;
-      const uint64_t sub = std::min(params_.stream_chunk, size - sub_off);
-      rs->issued += sub;
-      ++rs->device_in_flight;
-      nvme_->read(device_off + sub_off, sub,
-                  [this, rs, pump, finish_check, slot, sub_off, sub,
-                   dst](Result<Payload> data) {
-                    --rs->device_in_flight;
-                    if (!data.ok()) {
-                      rs->failed = true;
-                      rs->error = data.error();
-                      finish_check();
-                      return;
-                    }
-                    // DMA from the device lands in the staging slot...
-                    proc_->write_mem(slot.addr + sub_off, data.value().bytes());
-                    // ...and moves on to the destination — which may be GPU memory on
-                    // another node (the b step of Fig. 2) — while the next sub-chunk reads.
-                    ++rs->copies_in_flight;
-                    proc_->memory_copy(slot.mem, dst, sub, sub_off, sub_off)
-                        .on_ready([rs, finish_check, sub](Status cs) {
-                          --rs->copies_in_flight;
-                          if (!cs.ok()) {
-                            rs->failed = true;
-                            rs->error = cs.error();
-                          } else {
-                            rs->copied += sub;
-                          }
-                          finish_check();
-                        });
-                    (*pump)();
-                  });
-      }
-    };
-    (*pump)();
+    // (each lands at its own offset inside the staging slot). Up to two device reads are in
+    // flight: the device has parallel flash channels.
+    Stream::run(
+        {.total = size, .chunk = params_.stream_chunk, .window = 2},
+        [this, slot, device_off, dst](const Stream::Chunk& c) {
+          nvme_->read(device_off + c.offset(), c.length(),
+                      [this, slot, dst, c](Result<Payload> data) {
+                        if (!data.ok()) {
+                          c.done(data.error());
+                          return;
+                        }
+                        // DMA from the device lands in the staging slot...
+                        proc_->write_mem(slot.addr + c.offset(), data.value().bytes());
+                        // ...and moves on to the destination — which may be GPU memory on
+                        // another node (the b step of Fig. 2) — while the next sub-chunk
+                        // reads.
+                        proc_->memory_copy(slot.mem, dst, c.length(), c.offset(), c.offset())
+                            .on_ready([c](Status cs) { c.done(cs); });
+                        c.ack();
+                      });
+        },
+        [this, slot, cont, r](Status s) { finish_io(slot, cont, r, s); });
   }).or_else([this, r](ErrorCode e) { fail_op(r, e); });
 }
 
@@ -214,72 +169,37 @@ void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
   slot_pool_.acquire().and_then([this, device_off, size, src, cont, r](size_t slot_idx) {
     const Slot slot = slots_[slot_idx];
     // Stream the write: the network pull of sub-chunk k+1 overlaps the device program of
-    // sub-chunk k.
-    struct WriteState {
-      uint64_t issued = 0;
-      uint64_t written = 0;
-      bool wire_busy = false;
-      bool failed = false;
-      ErrorCode error = ErrorCode::kInternal;
-      uint32_t writes_in_flight = 0;
-    };
-    auto ws = std::make_shared<WriteState>();
-    auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, ws, slot, size, cont, r]() {
-      if (ws->failed) {
-        if (!ws->wire_busy && ws->writes_in_flight == 0) {
-          ws->failed = false;
-          slot_pool_.release(slot.idx);
-          fail_op(r, ws->error);
-        }
-        return;
-      }
-      if (ws->written == size) {
-        slot_pool_.release(slot.idx);
-        proc_->request_invoke(cont);
-      }
-    };
-    *pump = [this, ws, finish_check, slot, device_off, size, src,
-             weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
-      auto pump = weak_pump.lock();
-      if (!pump) {
-        return;
-      }
-      if (ws->failed || ws->wire_busy || ws->issued >= size) {
-        return;
-      }
-      const uint64_t sub_off = ws->issued;
-      const uint64_t sub = std::min(params_.stream_chunk, size - sub_off);
-      ws->issued += sub;
-      ws->wire_busy = true;
-      // Pull the client data into the staging slot (one network transfer)...
-      proc_->memory_copy(src, slot.mem, sub, sub_off, sub_off)
-          .on_ready([this, ws, pump, finish_check, slot, device_off, sub_off, sub](Status cs) {
-            ws->wire_busy = false;
-            if (!cs.ok()) {
-              ws->failed = true;
-              ws->error = cs.error();
-              finish_check();
-              return;
-            }
-            // ...then DMA it into the device while the next sub-chunk pulls.
-            ++ws->writes_in_flight;
-            nvme_->write(device_off + sub_off, proc_->read_mem(slot.addr + sub_off, sub),
-                         [ws, finish_check, sub](Status st) {
-                           --ws->writes_in_flight;
-                           if (!st.ok()) {
-                             ws->failed = true;
-                             ws->error = st.error();
-                           } else {
-                             ws->written += sub;
-                           }
-                           finish_check();
-                         });
-            (*pump)();
-          });
-    };
-    (*pump)();
+    // sub-chunk k. One pull is on the wire at a time.
+    Stream::run(
+        {.total = size, .chunk = params_.stream_chunk, .window = 1},
+        [this, slot, device_off, src](const Stream::Chunk& c) {
+          // Pull the client data into the staging slot (one network transfer)...
+          proc_->memory_copy(src, slot.mem, c.length(), c.offset(), c.offset())
+              .on_ready([this, slot, device_off, c](Status cs) {
+                if (!cs.ok()) {
+                  c.done(cs);
+                  return;
+                }
+                // ...then DMA it into the device while the next sub-chunk pulls.
+                nvme_->write(device_off + c.offset(),
+                             proc_->read_mem(slot.addr + c.offset(), c.length()),
+                             [c](Status st) { c.done(st); });
+                c.ack();
+              });
+        },
+        [this, slot, cont, r](Status s) { finish_io(slot, cont, r, s); });
   }).or_else([this, r](ErrorCode e) { fail_op(r, e); });
+}
+
+void BlockAdaptor::finish_io(const Slot& slot, CapId cont, const Process::Received& r,
+                             Status s) {
+  slot_pool_.release(slot.idx);
+  if (!s.ok()) {
+    fail_op(r, s.error());
+    return;
+  }
+  // Invoke the continuation VERBATIM (decentralized control flow).
+  proc_->request_invoke(cont);
 }
 
 void BlockAdaptor::handle_delete(uint32_t vol_id, Process::Received r) {

@@ -77,6 +77,9 @@ class BlockAdaptor {
 
   // Fails an op through the optional error continuation.
   void fail_op(const Process::Received& r, ErrorCode code);
+  // Ends a streamed read or write: frees its staging slot, then invokes the continuation on
+  // success or fails the op with `s`.
+  void finish_io(const Slot& slot, CapId cont, const Process::Received& r, Status s);
 
   System* sys_;
   Process* proc_;

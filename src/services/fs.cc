@@ -7,49 +7,23 @@
 
 namespace fractos {
 
-// In-flight state of one FS-mode I/O: chunks of at most stream_chunk bytes, up to
-// pipeline_depth in flight (each holding one staging slot), so the block-device leg of one
-// chunk overlaps the client-copy leg of another.
-struct FsIoState {
+// FS-mode I/O streams chunks of at most kStreamChunk bytes, kStreamWindow in flight (each
+// holding one staging slot), so the block-device leg of one chunk overlaps the client-copy
+// leg of another.
+constexpr uint64_t kStreamChunk = 256ull << 10;
+constexpr uint32_t kStreamWindow = 2;
+
+// What the chunks of one FS-mode I/O share.
+struct FsIo {
   bool is_write = false;
   uint64_t off = 0;
-  uint64_t size = 0;
-  uint64_t issued = 0;     // bytes whose chunks have been started
-  uint64_t completed = 0;  // bytes fully transferred
-  uint32_t in_flight = 0;
-  bool failed = false;
-  ErrorCode error = ErrorCode::kInternal;
-  bool finished = false;
-  uint64_t extent_bytes = 0;
   std::vector<BlockClient::Volume> extents;
-  CapId mem = kInvalidCap;   // client buffer
-  CapId cont = kInvalidCap;  // success continuation (invoked verbatim)
-  CapId err = kInvalidCap;   // optional error continuation
+  CapId mem = kInvalidCap;  // client buffer
   // Stage-1 legs (the block-device side) run one at a time within an op, so chunk
   // completions stagger and the stage-2 leg (the client side) overlaps the next chunk's
   // stage 1 — concurrent same-link transfers would otherwise fair-share and all complete
   // together, defeating the pipeline.
-  bool stage1_busy = false;
-  std::deque<std::function<void()>> stage1_waiting;
-  uint64_t span = 0;  // kService span covering the whole op (0 when tracing is off)
-
-  void acquire_stage1(std::function<void()> fn) {
-    if (stage1_busy) {
-      stage1_waiting.push_back(std::move(fn));
-      return;
-    }
-    stage1_busy = true;
-    fn();
-  }
-  void release_stage1() {
-    if (!stage1_waiting.empty()) {
-      auto fn = std::move(stage1_waiting.front());
-      stage1_waiting.pop_front();
-      fn();
-      return;
-    }
-    stage1_busy = false;
-  }
+  SlotPool stage1{1};
 };
 
 std::unique_ptr<FsService> FsService::bootstrap(System* sys, uint32_t node,
@@ -356,15 +330,13 @@ void FsService::handle_io(uint32_t open_id, bool is_write, Process::Received r) 
     return;
   }
 
-  auto st = std::make_shared<FsIoState>();
-  st->is_write = is_write;
-  st->off = off;
-  st->size = size;
-  st->extent_bytes = params_.extent_bytes;
-  st->extents = f.extents;
-  st->mem = mem;
-  st->cont = reqs[0];
-  st->err = reqs.size() >= 2 ? reqs[1] : kInvalidCap;
+  auto io = std::make_shared<FsIo>();
+  io->is_write = is_write;
+  io->off = off;
+  io->extents = f.extents;
+  io->mem = mem;
+  const CapId cont = reqs[0];
+  const CapId err = reqs.size() >= 2 ? reqs[1] : kInvalidCap;
   struct FsNames {
     NameId writes = intern_name("fs.writes");
     NameId reads = intern_name("fs.reads");
@@ -378,140 +350,108 @@ void FsService::handle_io(uint32_t open_id, bool is_write, Process::Received r) 
     m->add(is_write ? names.writes : names.reads);
     m->add(is_write ? names.write_bytes : names.read_bytes, static_cast<int64_t>(size));
   }
+  uint64_t span = 0;  // kService span covering the whole op (0 when tracing is off)
   if (span_tracing_active()) {
     if (SpanTracer* t = sys_->loop().span_tracer()) {
-      st->span = t->begin(intern_name(proc_->name()), SpanKind::kService,
-                          is_write ? names.fs_write : names.fs_read, sys_->loop().now());
+      span = t->begin(intern_name(proc_->name()), SpanKind::kService,
+                      is_write ? names.fs_write : names.fs_read, sys_->loop().now());
     }
   }
-  io_pump(std::move(st));
-}
-
-void FsService::io_pump(std::shared_ptr<FsIoState> st) {
-  if (st->finished) {
-    return;
-  }
-  if (st->failed) {
-    if (st->in_flight == 0) {
-      st->finished = true;
-      if (st->span != 0) {
-        if (SpanTracer* t = sys_->loop().span_tracer()) {
-          t->end_error(st->span, sys_->loop().now(), "io-failed");
-        }
-        st->span = 0;
-      }
-      if (st->err != kInvalidCap) {
-        proc_->request_invoke(st->err,
-                              Process::Args{}.imm_u64(0, static_cast<uint64_t>(st->error)));
-      }
-    }
-    return;
-  }
-  if (st->completed == st->size) {
-    st->finished = true;
-    if (st->span != 0) {
-      if (SpanTracer* t = sys_->loop().span_tracer()) {
-        t->end(st->span, sys_->loop().now());
-      }
-      st->span = 0;
-    }
-    proc_->request_invoke(st->cont);
-    return;
-  }
-  while (!st->failed && st->issued < st->size && st->in_flight < params_.pipeline_depth) {
-    const uint64_t pos = st->off + st->issued;
-    const uint64_t eoff = pos % st->extent_bytes;
-    const uint64_t chunk = std::min({st->size - st->issued, st->extent_bytes - eoff,
-                                     params_.slot_bytes, params_.stream_chunk});
-    const uint64_t op_off = st->issued;
-    st->issued += chunk;
-    ++st->in_flight;
-    slot_pool_.acquire()
-        .and_then([this, st, op_off, chunk](size_t slot) { run_chunk(st, slot, op_off, chunk); })
-        .or_else([this, st](ErrorCode e) {
-          // Slot acquisition failed (service shutting down): fail the chunk without a slot.
-          --st->in_flight;
-          if (!st->failed) {
-            st->error = e;
+  Stream::run(
+      {.total = size,
+       .chunk = std::min(params_.slot_bytes, kStreamChunk),
+       .window = kStreamWindow,
+       .boundary = params_.extent_bytes,
+       .origin = off},
+      [this, io](const Stream::Chunk& c) {
+        slot_pool_.acquire()
+            .and_then([this, io, c](size_t slot) { run_chunk(io, c, slot); })
+            // Slot acquisition failed (service shutting down): fail the chunk without a slot.
+            .or_else([c](ErrorCode e) { c.done(e); });
+      },
+      [this, span, cont, err](Status s) {
+        if (span != 0) {
+          if (SpanTracer* t = sys_->loop().span_tracer()) {
+            if (s.ok()) {
+              t->end(span, sys_->loop().now());
+            } else {
+              t->end_error(span, sys_->loop().now(), "io-failed");
+            }
           }
-          st->failed = true;
-          io_pump(st);
-        });
-  }
+        }
+        if (s.ok()) {
+          proc_->request_invoke(cont);
+        } else if (err != kInvalidCap) {
+          proc_->request_invoke(err, Process::Args{}.imm_u64(0, static_cast<uint64_t>(s.error())));
+        }
+      });
 }
 
-void FsService::run_chunk(std::shared_ptr<FsIoState> st, size_t slot_idx, uint64_t op_off,
-                          uint64_t chunk) {
-  const uint64_t pos = st->off + op_off;
-  const uint64_t extent = pos / st->extent_bytes;
-  const uint64_t eoff = pos % st->extent_bytes;
-  Slot& slot = slots_[slot_idx];
-  auto chunk_finished = [this, st, slot_idx, chunk](Status s) {
+void FsService::run_chunk(std::shared_ptr<FsIo> io, const Stream::Chunk& c, size_t slot_idx) {
+  const uint64_t pos = io->off + c.offset();
+  const uint64_t extent = pos / params_.extent_bytes;
+  const uint64_t eoff = pos % params_.extent_bytes;
+  auto chunk_finished = [this, slot_idx, c](Status s) {
     slot_pool_.release(slot_idx);
-    --st->in_flight;
-    if (!s.ok()) {
-      if (!st->failed) {
-        st->error = s.error();
-      }
-      st->failed = true;
-    } else {
-      st->completed += chunk;
-    }
-    io_pump(st);
+    c.done(s);
   };
-  if (extent >= st->extents.size()) {
+  if (extent >= io->extents.size()) {
     sys_->loop().post([chunk_finished]() { chunk_finished(ErrorCode::kOutOfRange); });
     return;
   }
-  const BlockClient::Volume& vol = st->extents[extent];
+  const BlockClient::Volume& vol = io->extents[extent];
 
-  if (st->is_write) {
+  if (io->is_write) {
     // Client -> FS staging (network transfer 1, the serialized stage), then block write
     // (transfer 2 + device), overlapping the next chunk's stage 1.
-    st->acquire_stage1([this, st, slot_idx, vol, eoff, op_off, chunk, chunk_finished]() {
-      proc_->memory_copy(st->mem, slots_[slot_idx].mem, chunk, op_off, 0)
-          .on_ready([this, st, slot_idx, vol, eoff, chunk, chunk_finished](Status cs) {
-            st->release_stage1();
+    io->stage1.acquire().and_then([this, io, slot_idx, vol, eoff, c, chunk_finished](size_t) {
+      proc_->memory_copy(io->mem, slots_[slot_idx].mem, c.length(), c.offset(), 0)
+          .on_ready([this, io, slot_idx, vol, eoff, c, chunk_finished](Status cs) {
+            io->stage1.release(0);
             if (!cs.ok()) {
               chunk_finished(cs);
               return;
             }
-            Slot& sl = slots_[slot_idx];
-            Promise<Status> block_done;
-            block_done.future().on_ready(chunk_finished);
-            sl.pending = std::move(block_done);
-            proc_->request_invoke(vol.write_ep, Process::Args{}
-                                                    .imm_u64(0, eoff)
-                                                    .imm_u64(8, chunk)
-                                                    .cap(sl.mem)
-                                                    .cap(sl.ok_ep)
-                                                    .cap(sl.err_ep));
+            block_rpc(slot_idx, vol.write_ep, eoff, c.length(), chunk_finished);
           });
     });
     return;
   }
 
   // Read: block read into FS staging (transfer 1 + device), then FS -> client (transfer 2).
-  st->acquire_stage1([this, st, slot_idx, vol, eoff, op_off, chunk, chunk_finished]() {
-    Slot& sl = slots_[slot_idx];
-    Promise<Status> block_done;
-    block_done.future().on_ready([this, st, slot_idx, op_off, chunk, chunk_finished](Status bs) {
-      st->release_stage1();
-      if (!bs.ok()) {
-        chunk_finished(bs);
-        return;
-      }
-      proc_->memory_copy(slots_[slot_idx].mem, st->mem, chunk, 0, op_off)
-          .on_ready([chunk_finished](Status cs) { chunk_finished(cs); });
-    });
-    sl.pending = std::move(block_done);
-    proc_->request_invoke(vol.read_ep, Process::Args{}
-                                           .imm_u64(0, eoff)
-                                           .imm_u64(8, chunk)
-                                           .cap(sl.mem)
-                                           .cap(sl.ok_ep)
-                                           .cap(sl.err_ep));
+  io->stage1.acquire().and_then([this, io, slot_idx, vol, eoff, c, chunk_finished](size_t) {
+    block_rpc(slot_idx, vol.read_ep, eoff, c.length(),
+              [this, io, slot_idx, c, chunk_finished](Status bs) {
+                io->stage1.release(0);
+                if (!bs.ok()) {
+                  chunk_finished(bs);
+                  return;
+                }
+                proc_->memory_copy(slots_[slot_idx].mem, io->mem, c.length(), 0, c.offset())
+                    .on_ready([chunk_finished](Status cs) { chunk_finished(cs); });
+              });
   });
+}
+
+void FsService::block_rpc(size_t slot_idx, CapId ep, uint64_t eoff, uint64_t len,
+                          std::function<void(Status)> done) {
+  Slot& sl = slots_[slot_idx];
+  Promise<Status> block_done;
+  block_done.future().on_ready(std::move(done));
+  sl.pending = std::move(block_done);
+  proc_->request_invoke(ep, Process::Args{}
+                                .imm_u64(0, eoff)
+                                .imm_u64(8, len)
+                                .cap(sl.mem)
+                                .cap(sl.ok_ep)
+                                .cap(sl.err_ep))
+      .on_ready([this, slot_idx](Status s) {
+        // A rejected invoke (the volume was deleted) never reaches the adaptor, so neither
+        // completion endpoint will fire: fail the slot's op now.
+        if (!s.ok()) {
+          finish_slot(slot_idx, s);
+        }
+      });
 }
 
 void FsService::handle_close(uint32_t open_id, Process::Received r) {
@@ -640,141 +580,105 @@ Future<Result<FsClient::OpenFile>> FsClient::open(Process& proc, CapId open_ep,
 
 namespace {
 
-// Shared sync-I/O driver for FS-mode (single target endpoint) and DAX (per-extent
-// endpoints + client-side chunking with diminished views).
+// The chunk whose service completion the client's ok/err endpoints are waiting for.
+using PendingChunk = std::shared_ptr<std::optional<Stream::Chunk>>;
+
+// Finishes the pending chunk, if any: its completion, error and rejected-invoke paths each
+// try, and only the first one counts.
+void finish_pending(const PendingChunk& pending, Status s) {
+  if (pending == nullptr || !pending->has_value()) {
+    return;
+  }
+  const Stream::Chunk c = std::move(**pending);
+  pending->reset();
+  c.done(s);
+}
+
+// Shared sync-I/O driver for FS-mode (single target endpoint, one chunk) and DAX (per-extent
+// endpoints: one chunk per extent piece, each through a diminished view of the buffer).
 Future<Status> fs_client_io(Process& proc, const FsClient::OpenFile& f, bool is_write,
                             uint64_t off, uint64_t size, CapId mem) {
-  struct IoState {
-    Process* proc;
-    FsClient::OpenFile file;
-    bool is_write;
-    uint64_t off, size, done = 0;
-    CapId mem;
-    CapId ok_ep = kInvalidCap, err_ep = kInvalidCap;
-    Promise<Status> promise;
-  };
-  auto st = std::make_shared<IoState>();
-  st->proc = &proc;
-  st->file = f;
-  st->is_write = is_write;
-  st->off = off;
-  st->size = size;
-  st->mem = mem;
-  // The per-chunk completion callback. Deliberately NOT a member of IoState: it captures the
-  // state, so storing it inside the state would form a reference cycle that leaks whenever an
-  // operation is abandoned (e.g. its endpoint was revoked mid-flight).
-  auto chunk_done = std::make_shared<std::function<void(Status)>>();
-  Promise<Status> promise = st->promise;
-
   const std::vector<CapId>& eps = is_write ? f.write_eps : f.read_eps;
   if (eps.empty() || size == 0 || off + size > f.size) {
-    promise.set(Status(ErrorCode::kInvalidArgument));
-    return promise.future();
+    return make_ready_future(Status(ErrorCode::kInvalidArgument));
   }
-
-  auto finish = [st](Status s) {
-    st->proc->remove_endpoint(st->ok_ep);
-    st->proc->remove_endpoint(st->err_ep);
-    st->promise.set(s);
-  };
-
-  auto pump = std::make_shared<std::function<void()>>();
-  // pump -> box and box -> pump references must not BOTH be strong (cycle); the box is the
-  // rooted one (the completion endpoint handlers hold it), so pump holds it weakly.
-  *pump = [st, finish, weak_box = std::weak_ptr<std::function<void(Status)>>(chunk_done),
-           weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
-    auto pump = weak_pump.lock();
-    auto chunk_done = weak_box.lock();
-    if (!pump || !chunk_done) {
-      return;
-    }
-    if (st->done == st->size) {
-      finish(ok_status());
-      return;
-    }
-    uint64_t target_off = st->off + st->done;
-    uint64_t chunk = st->size - st->done;
-    size_t ep_index = 0;
-    if (st->file.dax) {
-      ep_index = target_off / st->file.extent_bytes;
-      const uint64_t eoff = target_off % st->file.extent_bytes;
-      chunk = std::min(chunk, st->file.extent_bytes - eoff);
-      target_off = eoff;
-    }
-    const std::vector<CapId>& eps = st->is_write ? st->file.write_eps : st->file.read_eps;
-    if (ep_index >= eps.size()) {
-      finish(ErrorCode::kOutOfRange);
-      return;
-    }
-    const CapId ep = eps[ep_index];
-    const uint64_t this_chunk = chunk;
-    *chunk_done = [st, pump, finish, this_chunk](Status s) {
-      if (!s.ok()) {
-        finish(s);
-        return;
-      }
-      st->done += this_chunk;
-      (*pump)();
-    };
-    auto send = [st, chunk_done, ep, target_off, this_chunk](CapId view) {
-      st->proc
-          ->request_invoke(ep, Process::Args{}
-                                   .imm_u64(0, target_off)
-                                   .imm_u64(8, this_chunk)
-                                   .cap(view)
-                                   .cap(st->ok_ep)
-                                   .cap(st->err_ep))
-          .on_ready([chunk_done](Status s) {
-            // A rejected invoke (revoked/purged endpoint) never reaches the service, so no
-            // completion will fire: fail the op now.
-            if (!s.ok() && *chunk_done) {
-              auto done = std::move(*chunk_done);
-              *chunk_done = nullptr;
-              done(s);
-            }
-          });
-    };
-    if (st->done == 0) {
-      send(st->mem);  // services copy exactly `size` bytes from/to the buffer's start
-    } else {
-      // Later chunks need a view at the right offset into the client buffer.
-      st->proc->memory_diminish(st->mem, st->done, this_chunk, Perms::kNone)
-          .on_ready([send, finish](Result<CapId>&& view) {
-            if (!view.ok()) {
-              finish(view.error());
-              return;
-            }
-            send(view.value());
-          });
-    }
-  };
-
+  Promise<Status> promise;
   auto ok_f = proc.request_create({});
   auto err_f = proc.request_create({});
   when_all(std::vector<Future<Result<CapId>>>{std::move(ok_f), std::move(err_f)})
-      .on_ready([st, pump, chunk_done](std::vector<Result<CapId>>&& eps2) {
-        if (!eps2[0].ok() || !eps2[1].ok()) {
-          st->promise.set(Status(ErrorCode::kResourceExhausted));
+      .on_ready([&proc, eps, dax = f.dax, extent_bytes = f.extent_bytes, off, size, mem,
+                 promise](std::vector<Result<CapId>>&& cids) {
+        if (!cids[0].ok() || !cids[1].ok()) {
+          promise.set(Status(ErrorCode::kResourceExhausted));
           return;
         }
-        st->ok_ep = eps2[0].value();
-        st->err_ep = eps2[1].value();
-        st->proc->on_endpoint(st->ok_ep, [chunk_done](Process::Received) {
-          if (*chunk_done) {
-            auto done = std::move(*chunk_done);
-            *chunk_done = nullptr;
-            done(ok_status());
-          }
+        const CapId ok_ep = cids[0].value();
+        const CapId err_ep = cids[1].value();
+        // The endpoint handlers own the pending box. The chunk body only holds it weakly:
+        // box -> chunk -> stream -> body -> box would otherwise be a cycle that leaks
+        // whenever an op is abandoned (e.g. its endpoint was revoked mid-flight).
+        auto pending = std::make_shared<std::optional<Stream::Chunk>>();
+        proc.on_endpoint(ok_ep, [pending](Process::Received) {
+          finish_pending(pending, ok_status());
         });
-        st->proc->on_endpoint(st->err_ep, [chunk_done](Process::Received rr) {
-          if (*chunk_done) {
-            auto done = std::move(*chunk_done);
-            *chunk_done = nullptr;
-            done(Status(static_cast<ErrorCode>(
-                rr.imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)))));
-          }
+        proc.on_endpoint(err_ep, [pending](Process::Received rr) {
+          finish_pending(pending, Status(static_cast<ErrorCode>(rr.imm_u64(0).value_or(
+                                      static_cast<uint64_t>(ErrorCode::kInternal)))));
         });
-        (*pump)();
+        Stream::run(
+            {.total = size,
+             .chunk = size,
+             .window = 1,
+             .boundary = dax ? extent_bytes : 0,
+             .origin = off},
+            [&proc, eps, dax, extent_bytes, off, mem, ok_ep, err_ep,
+             weak = std::weak_ptr<std::optional<Stream::Chunk>>(pending)](
+                const Stream::Chunk& c) {
+              const uint64_t pos = off + c.offset();
+              const size_t ep_index = dax ? pos / extent_bytes : 0;
+              if (ep_index >= eps.size()) {
+                c.done(ErrorCode::kOutOfRange);
+                return;
+              }
+              const CapId ep = eps[ep_index];
+              const uint64_t target_off = dax ? pos % extent_bytes : pos;
+              auto send = [&proc, c, ep, target_off, ok_ep, err_ep, weak](CapId view) {
+                if (PendingChunk pending = weak.lock()) {
+                  *pending = c;
+                }
+                proc.request_invoke(ep, Process::Args{}
+                                            .imm_u64(0, target_off)
+                                            .imm_u64(8, c.length())
+                                            .cap(view)
+                                            .cap(ok_ep)
+                                            .cap(err_ep))
+                    .on_ready([weak](Status s) {
+                      // A rejected invoke (revoked/purged endpoint) never reaches the
+                      // service, so no completion will fire: fail the chunk now.
+                      if (!s.ok()) {
+                        finish_pending(weak.lock(), s);
+                      }
+                    });
+              };
+              if (c.offset() == 0) {
+                send(mem);  // services copy exactly `size` bytes from/to the buffer's start
+                return;
+              }
+              // Later chunks need a view at the right offset into the client buffer.
+              proc.memory_diminish(mem, c.offset(), c.length(), Perms::kNone)
+                  .on_ready([send, c](Result<CapId>&& view) {
+                    if (!view.ok()) {
+                      c.done(view.error());
+                      return;
+                    }
+                    send(view.value());
+                  });
+            },
+            [&proc, ok_ep, err_ep, promise](Status s) {
+              proc.remove_endpoint(ok_ep);
+              proc.remove_endpoint(err_ep);
+              promise.set(s);
+            });
       });
   return promise.future();
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/apps/face_verify.h"
 #include "src/core/bootstrap.h"
@@ -51,6 +52,87 @@ TEST_F(FailureMatrix, ProcessDiesMidCopyNoHang) {
   // The copy either failed (destination revoked mid-flight) or completed before the
   // revocation took effect at the target NIC — both are sound; hanging is not.
   ASSERT_TRUE(copy.ready());
+}
+
+TEST_F(FailureMatrix, CopyRevokedMidStreamRepliesOnceAfterItsLegsDrain) {
+  // A 1 MiB bounce copy streams 64 KiB chunks, each a read from n1 and then a write to n2,
+  // through the copier's Controller on n0. The source is revoked mid-copy, so a later read
+  // fails while earlier chunks' writes are still on the wire. The error reply must wait
+  // for them: once the copier sees it, the destination no longer changes.
+  const uint64_t size = 1 << 20;
+  Process& copier = sys_.spawn("copier", n0_, *c0_);
+  Process& owner = sys_.spawn("owner", n1_, *c1_, size + (1 << 20));
+  Process& sink = sys_.spawn("sink", n2_, *c2_, size + (1 << 20));
+  const uint64_t src_addr = owner.alloc(size);
+  owner.write_mem(src_addr, std::vector<uint8_t>(size, 0xab));
+  const CapId src_own = sys_.await_ok(owner.memory_create(src_addr, size, Perms::kReadWrite));
+  const CapId src = sys_.bootstrap_grant(owner, src_own, copier).value();
+  const uint64_t dst_addr = sink.alloc(size);
+  const CapId dst_own = sys_.await_ok(sink.memory_create(dst_addr, size, Perms::kReadWrite));
+  const CapId dst = sys_.bootstrap_grant(sink, dst_own, copier).value();
+
+  int replies = 0;
+  Status result;
+  std::vector<uint8_t> dst_at_reply;
+  copier.memory_copy(src, dst).on_ready([&](Status s) {
+    ++replies;
+    result = s;
+    dst_at_reply = sink.read_mem(dst_addr, size);
+  });
+  sys_.loop().run_until_time(sys_.loop().now() + Duration::micros(300));
+  ASSERT_EQ(replies, 0);
+  owner.cap_revoke(src_own);
+  sys_.loop().run();
+
+  ASSERT_EQ(replies, 1);
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(dst_at_reply, std::vector<uint8_t>(size, 0));     // some chunks landed...
+  EXPECT_NE(dst_at_reply, std::vector<uint8_t>(size, 0xab));  // ...but not all of them
+  EXPECT_EQ(sink.read_mem(dst_addr, size), dst_at_reply);
+}
+
+TEST_F(FailureMatrix, FsIoFailsOnceAndFreesItsSlotsWhenTheVolumeIsDeletedMidIo) {
+  // One FS staging slot: the op's chunks take turns on it, and a slot that failed to come
+  // back would hang the next I/O.
+  auto nvme = std::make_unique<SimNvme>(&sys_.loop());
+  auto block = std::make_unique<BlockAdaptor>(&sys_, n2_, *c2_, nvme.get());
+  FsService::Params params;
+  params.staging_slots = 1;
+  auto fs = FsService::bootstrap(&sys_, n1_, *c1_, block->process(), block->mgmt_endpoint(),
+                                 params);
+  Process& client = sys_.spawn("client", n0_, *c0_, 4 << 20);
+  const CapId create = sys_.bootstrap_grant(fs->process(), fs->create_endpoint(), client).value();
+  const CapId open = sys_.bootstrap_grant(fs->process(), fs->open_endpoint(), client).value();
+  const CapId unlink = sys_.bootstrap_grant(fs->process(), fs->unlink_endpoint(), client).value();
+  ASSERT_TRUE(sys_.await(FsClient::create(client, create, "doomed", 1 << 20)).ok());
+  auto f = sys_.await_ok(FsClient::open(client, open, "doomed", true, false));
+  const uint64_t size = 1 << 20;
+  const CapId buf =
+      sys_.await_ok(client.memory_create(client.alloc(size), size, Perms::kReadWrite));
+
+  int oks = 0;
+  int errors = 0;
+  const CapId ok_ep = sys_.await_ok(client.serve({}, [&](Process::Received) { ++oks; }));
+  const CapId err_ep = sys_.await_ok(client.serve({}, [&](Process::Received) { ++errors; }));
+  ASSERT_TRUE(sys_.await(client.request_invoke(f.write_eps[0], Process::Args{}
+                                                                   .imm_u64(0, 0)
+                                                                   .imm_u64(8, size)
+                                                                   .cap(buf)
+                                                                   .cap(ok_ep)
+                                                                   .cap(err_ep)))
+                  .ok());
+  // Four 256 KiB chunks take ~1.8 ms; unlinking destroys the file's volume after the first.
+  sys_.loop().run_until_time(sys_.loop().now() + Duration::micros(500));
+  ASSERT_EQ(oks + errors, 0);
+  ASSERT_TRUE(sys_.await(FsClient::unlink(client, unlink, "doomed")).ok());
+  sys_.loop().run();
+  EXPECT_EQ(oks, 0);
+  EXPECT_EQ(errors, 1);
+
+  ASSERT_TRUE(sys_.await(FsClient::create(client, create, "next", 1 << 20)).ok());
+  auto g = sys_.await_ok(FsClient::open(client, open, "next", true, false));
+  EXPECT_TRUE(sys_.await(FsClient::write(client, g, 0, size, buf)).ok());
+  EXPECT_TRUE(sys_.await(FsClient::read(client, g, 0, size, buf)).ok());
 }
 
 TEST_F(FailureMatrix, ServiceDiesMidRpcClientUnblocksViaMonitor) {

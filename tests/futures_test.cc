@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/futures/future.h"
 #include "src/futures/slot_pool.h"
+#include "src/futures/stream.h"
 #include "src/futures/timeout.h"
 #include "src/sim/event_loop.h"
 
@@ -521,6 +525,208 @@ TEST(SlotPoolTest, ReleaseAfterCloseReturnsToFreeListWithoutWaking) {
   pool.close();
   pool.release(0);
   EXPECT_EQ(pool.available(), 2u);  // slot returned quietly; nobody can be waiting
+}
+
+// ---- Stream -------------------------------------------------------------------------------
+
+// Runs a Stream whose chunk body only records each chunk; the test acks and finishes them by
+// hand and checks the window against its own count of un-acked chunks.
+class FakeStream {
+ public:
+  explicit FakeStream(const Stream::Shape& shape) {
+    Stream::run(
+        shape,
+        [this](const Stream::Chunk& c) {
+          chunks_.push_back(c);
+          ranges.emplace_back(c.offset(), c.length());
+          acked_.push_back(false);
+          max_unacked = std::max(max_unacked, ++unacked_);
+        },
+        [this](Status s) { results.push_back(s); });
+  }
+
+  size_t started() const { return ranges.size(); }
+  void ack(size_t i) {
+    mark_acked(i);
+    chunks_[i].ack();
+  }
+  void done(size_t i, Status s = ok_status()) {
+    mark_acked(i);  // done() implies ack()
+    chunks_[i].done(s);
+  }
+  // Drops the recorded handles, as a finished (or abandoned) pipeline would.
+  void forget() { chunks_.clear(); }
+
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;  // (offset, length) per started chunk
+  std::vector<Status> results;
+  uint32_t max_unacked = 0;
+
+ private:
+  void mark_acked(size_t i) {
+    if (!acked_[i]) {
+      acked_[i] = true;
+      --unacked_;
+    }
+  }
+
+  std::vector<Stream::Chunk> chunks_;
+  std::vector<bool> acked_;
+  uint32_t unacked_ = 0;
+};
+
+using Ranges = std::vector<std::pair<uint64_t, uint64_t>>;
+
+TEST(StreamTest, UnackedChunksNeverExceedTheWindow) {
+  FakeStream s({.total = 40, .chunk = 4, .window = 3});
+  EXPECT_EQ(s.started(), 3u);
+  s.ack(0);  // frees one place: chunk 3 starts synchronously
+  EXPECT_EQ(s.started(), 4u);
+  s.done(0);  // already acked: frees nothing
+  EXPECT_EQ(s.started(), 4u);
+  s.done(2);  // done implies ack
+  EXPECT_EQ(s.started(), 5u);
+  s.ack(1);
+  s.ack(3);
+  s.ack(4);
+  EXPECT_EQ(s.started(), 8u);
+  for (size_t i = 5; i < 10; ++i) {
+    s.ack(i);
+  }
+  EXPECT_EQ(s.started(), 10u);
+  EXPECT_LE(s.max_unacked, 3u);
+  EXPECT_TRUE(s.results.empty());  // acked is not finished
+  for (size_t i : {1u, 3u, 4u, 5u, 6u, 7u, 8u, 9u}) {
+    s.done(i);
+  }
+  ASSERT_EQ(s.results.size(), 1u);
+  EXPECT_TRUE(s.results[0].ok());
+}
+
+TEST(StreamTest, ChunksAreExactWithAShortLastChunk) {
+  FakeStream s({.total = 10, .chunk = 4, .window = 8});
+  EXPECT_EQ(s.ranges, (Ranges{{0, 4}, {4, 4}, {8, 2}}));
+}
+
+TEST(StreamTest, ChunksNeverCrossABoundary) {
+  // Absolute positions 10..110 with a boundary every 25: chunks split at 25, 50, 75 and 100
+  // as well as every 20 bytes, and the last one is short.
+  FakeStream s({.total = 100, .chunk = 20, .window = 16, .boundary = 25, .origin = 10});
+  EXPECT_EQ(s.ranges, (Ranges{{0, 15}, {15, 20}, {35, 5}, {40, 20}, {60, 5}, {65, 20},
+                              {85, 5}, {90, 10}}));
+  // One unbounded chunk per boundary piece, the shape of the DAX client's extent split.
+  FakeStream dax({.total = 1000, .chunk = 1000, .window = 1, .boundary = 512, .origin = 200});
+  dax.done(0);
+  EXPECT_EQ(dax.ranges, (Ranges{{0, 312}, {312, 512}}));
+  dax.done(1);
+  EXPECT_EQ(dax.ranges, (Ranges{{0, 312}, {312, 512}, {824, 176}}));
+  dax.done(2);
+  ASSERT_EQ(dax.results.size(), 1u);
+  EXPECT_TRUE(dax.results[0].ok());
+}
+
+TEST(StreamTest, ZeroTotalReportsOnceWithoutAChunk) {
+  FakeStream s({.total = 0, .chunk = 4, .window = 1});
+  EXPECT_EQ(s.started(), 0u);
+  ASSERT_EQ(s.results.size(), 1u);
+  EXPECT_TRUE(s.results[0].ok());
+}
+
+TEST(StreamTest, FailureReportsOnceAfterStartedChunksFinishAndStartsNoMore) {
+  FakeStream s({.total = 40, .chunk = 4, .window = 3});
+  ASSERT_EQ(s.started(), 3u);
+  s.done(1, Status(ErrorCode::kRevoked));
+  EXPECT_EQ(s.started(), 3u);      // the freed place starts nothing
+  EXPECT_TRUE(s.results.empty());  // chunks 0 and 2 are still in flight
+  s.ack(0);
+  EXPECT_EQ(s.started(), 3u);
+  s.done(0);
+  EXPECT_TRUE(s.results.empty());
+  s.done(2, Status(ErrorCode::kTimeout));  // a later error does not replace the first
+  ASSERT_EQ(s.results.size(), 1u);
+  EXPECT_EQ(s.results[0].error(), ErrorCode::kRevoked);
+  EXPECT_EQ(s.started(), 3u);
+}
+
+TEST(StreamTest, ChunksFinishedInsideTheBodyStillReportOnce) {
+  // A body that completes synchronously re-enters the stream from inside its own pump.
+  std::vector<uint64_t> offsets;
+  std::vector<Status> results;
+  Stream::run(
+      {.total = 10, .chunk = 1, .window = 2},
+      [&](const Stream::Chunk& c) {
+        offsets.push_back(c.offset());
+        c.done(ok_status());
+      },
+      [&](Status st) { results.push_back(st); });
+  EXPECT_EQ(offsets, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].ok());
+
+  // The synchronous-failure path (e.g. a slot pool already closed): no second chunk starts.
+  offsets.clear();
+  results.clear();
+  Stream::run(
+      {.total = 10, .chunk = 1, .window = 2},
+      [&](const Stream::Chunk& c) {
+        offsets.push_back(c.offset());
+        c.done(ErrorCode::kAborted);
+      },
+      [&](Status st) { results.push_back(st); });
+  EXPECT_EQ(offsets, (std::vector<uint64_t>{0}));
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].error(), ErrorCode::kAborted);
+}
+
+TEST(StreamTest, StateIsFreedAfterCompletion) {
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> weak = token;
+  std::vector<Stream::Chunk> in_flight;
+  int reports = 0;
+  Stream::run(
+      {.total = 8, .chunk = 4, .window = 2},
+      [&in_flight, token](const Stream::Chunk& c) { in_flight.push_back(c); },
+      [&reports](Status) { ++reports; });
+  token.reset();  // the stream's body now holds the only reference
+  ASSERT_FALSE(weak.expired());
+  for (const Stream::Chunk& c : in_flight) {
+    c.done(ok_status());
+  }
+  EXPECT_EQ(reports, 1);
+  in_flight.clear();  // the last handles go with the finished legs
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST(StreamTest, AbandonedStreamIsFreedWithoutReporting) {
+  // Teardown drops in-flight legs without finishing them: the stream must neither leak nor
+  // call back into its (possibly half-destroyed) owner.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> weak = token;
+  int reports = 0;
+  Stream::run(
+      {.total = 8, .chunk = 4, .window = 2},
+      [token](const Stream::Chunk&) {},  // starts two chunks and drops their handles
+      [&reports](Status) { ++reports; });
+  token.reset();
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(reports, 0);
+}
+
+TEST(StreamDeathTest, ZeroChunkOrWindowChecks) {
+  auto body = [](const Stream::Chunk&) {};
+  auto done = [](Status) {};
+  EXPECT_DEATH(Stream::run({.total = 8, .chunk = 0, .window = 1}, body, done),
+               "zero-byte chunk");
+  EXPECT_DEATH(Stream::run({.total = 8, .chunk = 4, .window = 0}, body, done), "zero window");
+}
+
+TEST(StreamDeathTest, FinishingAChunkTwiceChecks) {
+  EXPECT_DEATH(
+      {
+        FakeStream s({.total = 8, .chunk = 4, .window = 1});
+        s.done(0);
+        s.done(0);
+      },
+      "finished twice");
 }
 
 }  // namespace

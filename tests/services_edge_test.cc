@@ -152,6 +152,41 @@ TEST_F(ServiceEdgeTest, BlockReadFailsCleanlyWhenDestinationRevokedMidStream) {
   EXPECT_FALSE(io.peek().ok());  // the RDMA into the revoked buffer was refused
 }
 
+TEST_F(ServiceEdgeTest, BlockWriteFailsCleanlyWhenSourceRevokedMidStream) {
+  auto nvme = std::make_unique<SimNvme>(&sys_.loop());
+  BlockAdaptor::Params p;
+  p.staging_slots = 1;  // a slot that failed to come back would hang the next I/O
+  BlockAdaptor adaptor(&sys_, n1_, *c1_, nvme.get(), p);
+  Process& client = sys_.spawn("client", n0_, *c0_, 4 << 20);
+  const CapId mgmt =
+      sys_.bootstrap_grant(adaptor.process(), adaptor.mgmt_endpoint(), client).value();
+  auto vol = sys_.await_ok(BlockClient::create_volume(client, mgmt, 2 << 20));
+  const uint64_t size = 1 << 20;
+  const CapId buf =
+      sys_.await_ok(client.memory_create(client.alloc(size), size, Perms::kReadWrite));
+
+  int oks = 0;
+  int errors = 0;
+  const CapId ok_ep = sys_.await_ok(client.serve({}, [&](Process::Received) { ++oks; }));
+  const CapId err_ep = sys_.await_ok(client.serve({}, [&](Process::Received) { ++errors; }));
+  ASSERT_TRUE(sys_.await(client.request_invoke(
+                             vol.write_ep,
+                             Process::Args{}.imm_u64(0, 0).imm_u64(8, size).cap(buf).cap(
+                                 ok_ep).cap(err_ep)))
+                  .ok());
+  // Sixteen 64 KiB pulls take ~1 ms; the source dies after a few of them.
+  sys_.loop().run_until_time(sys_.loop().now() + Duration::micros(200));
+  ASSERT_EQ(oks + errors, 0);
+  ASSERT_TRUE(sys_.await(client.cap_revoke(buf)).ok());
+  sys_.loop().run();
+  EXPECT_EQ(oks, 0);
+  EXPECT_EQ(errors, 1);
+
+  const CapId buf2 =
+      sys_.await_ok(client.memory_create(client.alloc(size), size, Perms::kReadWrite));
+  EXPECT_TRUE(sys_.await(BlockClient::write(client, vol, 0, size, buf2)).ok());
+}
+
 TEST_F(ServiceEdgeTest, VolumeIsolationBetweenTenants) {
   auto nvme = std::make_unique<SimNvme>(&sys_.loop());
   BlockAdaptor adaptor(&sys_, n1_, *c1_, nvme.get());

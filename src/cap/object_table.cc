@@ -94,8 +94,7 @@ const ObjectTable::Slot* ObjectTable::find_slot(ObjectIndex idx) const {
       return nullptr;  // hit an empty bucket: key absent
     }
     if (b.key == idx) {
-      const Slot* slot = &shard.slabs[b.slot / kSlabSlots][b.slot % kSlabSlots];
-      return slot->idx == idx ? slot : nullptr;
+      return b.slot->idx == idx ? b.slot : nullptr;
     }
     // Tombstones (kInvalidObject) and other keys: keep probing.
   }
@@ -120,7 +119,7 @@ void ObjectTable::index_grow(Shard& shard) {
   }
 }
 
-void ObjectTable::index_insert(Shard& shard, ObjectIndex idx, uint32_t slot) {
+void ObjectTable::index_insert(Shard& shard, ObjectIndex idx, Slot* slot) {
   // Grow at 3/4 load counting tombstones, so probes stay short forever.
   if (shard.buckets.empty() || (shard.filled + 1) * 4 > shard.buckets.size() * 3) {
     index_grow(shard);
@@ -138,7 +137,7 @@ void ObjectTable::index_insert(Shard& shard, ObjectIndex idx, uint32_t slot) {
   ++shard.entries;
 }
 
-uint32_t ObjectTable::index_erase(Shard& shard, ObjectIndex idx) {
+void ObjectTable::index_erase(Shard& shard, ObjectIndex idx) {
   FRACTOS_DCHECK(!shard.buckets.empty());
   const size_t mask = shard.buckets.size() - 1;
   for (size_t probe = mix64(idx) & mask;; probe = (probe + 1) & mask) {
@@ -147,52 +146,40 @@ uint32_t ObjectTable::index_erase(Shard& shard, ObjectIndex idx) {
     if (b.key == idx) {
       b.key = kInvalidObject;  // tombstone keeps probe chains intact
       --shard.entries;
-      return b.slot;
+      return;
     }
   }
 }
 
-ObjectIndex ObjectTable::insert(Object obj) {
-  const ObjectIndex idx = next_index_++;
-  Shard& shard = shard_of(idx);
+ObjectTable::Slot* ObjectTable::take_slot(Shard& shard) {
   if (shard.free_slots.empty()) {
-    shard.slabs.push_back(std::make_unique<Slot[]>(kSlabSlots));
-    // Newly minted slots enter the freelist back-to-front so allocation proceeds
-    // front-to-back within the slab (deterministic iteration order).
-    const uint32_t base = static_cast<uint32_t>((shard.slabs.size() - 1) * kSlabSlots);
-    for (uint32_t i = 0; i < kSlabSlots; ++i) {
-      shard.free_slots.push_back(base + kSlabSlots - 1 - i);
+    const size_t n = slab_slots(shard.slabs.size());
+    Slot* slab = shard.slabs.emplace_back(std::make_unique<Slot[]>(n)).get();
+    // New slots enter the freelist back to front, so they go out front to back.
+    for (size_t i = n; i > 0; --i) {
+      shard.free_slots.push_back(&slab[i - 1]);
     }
   }
-  const uint32_t slot_id = shard.free_slots.back();
+  Slot* slot = shard.free_slots.back();
   shard.free_slots.pop_back();
-  Slot& slot = shard.slabs[slot_id / kSlabSlots][slot_id % kSlabSlots];
-  slot.idx = idx;
-  slot.obj = std::move(obj);
-  index_insert(shard, idx, slot_id);
-  ++total_;
-  ++live_;
+  return slot;
+}
+
+ObjectIndex ObjectTable::insert(Object obj) {
+  const ObjectIndex idx = next_index_++;
+  insert_with_index(idx, std::move(obj));
   return idx;
 }
 
 void ObjectTable::insert_with_index(ObjectIndex idx, Object obj) {
   FRACTOS_DCHECK(find_slot(idx) == nullptr);
   Shard& shard = shard_of(idx);
-  if (shard.free_slots.empty()) {
-    shard.slabs.push_back(std::make_unique<Slot[]>(kSlabSlots));
-    const uint32_t base = static_cast<uint32_t>((shard.slabs.size() - 1) * kSlabSlots);
-    for (uint32_t i = 0; i < kSlabSlots; ++i) {
-      shard.free_slots.push_back(base + kSlabSlots - 1 - i);
-    }
-  }
-  const uint32_t slot_id = shard.free_slots.back();
-  shard.free_slots.pop_back();
-  Slot& slot = shard.slabs[slot_id / kSlabSlots][slot_id % kSlabSlots];
-  slot.idx = idx;
-  slot.obj = std::move(obj);
-  index_insert(shard, idx, slot_id);
+  Slot* slot = take_slot(shard);
+  slot->idx = idx;
+  slot->obj = std::move(obj);
+  index_insert(shard, idx, slot);
   ++total_;
-  if (!slot.obj.invalidated) {
+  if (!slot->obj.invalidated) {
     ++live_;
   }
 }
@@ -542,10 +529,10 @@ bool ObjectTable::erase_one(ObjectIndex idx) {
     }
   }
   Shard& shard = shard_of(idx);
-  const uint32_t slot_id = index_erase(shard, idx);
+  index_erase(shard, idx);
   slot->idx = kInvalidObject;
   slot->obj = Object{};
-  shard.free_slots.push_back(slot_id);
+  shard.free_slots.push_back(slot);
   --total_;
   return true;
 }
@@ -905,6 +892,16 @@ size_t ObjectTable::chain_depth(ObjectIndex idx) const {
     cur = o->parent;
   }
   return depth;
+}
+
+size_t ObjectTable::slot_capacity() const {
+  size_t n = 0;
+  for (const Shard& shard : shards_) {
+    for (size_t s = 0; s < shard.slabs.size(); ++s) {
+      n += slab_slots(s);
+    }
+  }
+  return n;
 }
 
 size_t ObjectTable::interned_args_count() const {

@@ -16,13 +16,15 @@
 //  * monitor_delegate / monitor_receive (Section 3.6) hang subscriptions off objects; revoke
 //    reports which callbacks fired so the Controller can route monitor messages.
 //
-// Storage is built for "millions of live capabilities" (ROADMAP): objects live in fixed-size
-// slab arrays grouped into shards selected by a hash of the ObjectIndex. Slabs never move, so
-// Object* stays valid across inserts (no rehash storms), freed slots are recycled through a
-// per-shard freelist, and each shard keeps a small open-addressed index from ObjectIndex to
-// slot. The derivation tree uses intrusive sibling links instead of per-node child vectors, so
-// revocation touches exactly the revoked subtree and erasure unlinks in O(1) — no global scans
-// to fix dangling links. Request argument blobs are content-interned (the way span names are
+// Storage is built for "millions of live capabilities" (ROADMAP) and for thousands of small
+// tables alike: objects live in slab arrays grouped into shards selected by a hash of the
+// ObjectIndex. A shard's slabs grow geometrically (16, 32, ... up to 1024 slots), so a table
+// reserves memory in proportion to what it holds. Slabs never move, so Object* stays valid
+// across inserts (no rehash storms), freed slots are recycled through a per-shard freelist,
+// and each shard keeps a small open-addressed index from ObjectIndex to slot. The derivation
+// tree uses intrusive sibling links instead of per-node child vectors, so revocation touches
+// exactly the revoked subtree and erasure unlinks in O(1) — no global scans to fix dangling
+// links. Request argument blobs are content-interned (the way span names are
 // NameId-interned in sim/trace), so N delegations of the same refinement share one allocation.
 
 #ifndef SRC_CAP_OBJECT_TABLE_H_
@@ -185,6 +187,8 @@ class ObjectTable {
   bool exists(ObjectIndex idx) const;
   size_t live_count() const { return live_; }
   size_t total_count() const { return total_; }
+  // Slots reserved across all slabs, live or free: what the table costs in memory.
+  size_t slot_capacity() const;
   ObjectKind kind_of(ObjectIndex idx) const;
 
   // Length of the derivation chain from `idx` up to its root (a root is depth 1). Returns 0
@@ -196,7 +200,10 @@ class ObjectTable {
   size_t interned_args_count() const;
 
   static constexpr size_t kShardCount = 64;
-  static constexpr size_t kSlabSlots = 1024;
+  // A shard's slabs double from kFirstSlabSlots up to kSlabSlots, then stay at kSlabSlots.
+  static constexpr size_t kFirstSlabSlots = 16;
+  static constexpr size_t kSlabDoublings = 6;
+  static constexpr size_t kSlabSlots = kFirstSlabSlots << kSlabDoublings;
 
  private:
   struct Object {
@@ -244,16 +251,20 @@ class ObjectTable {
 
   struct IndexBucket {
     ObjectIndex key = 0;  // 0 = empty (indices start at 1), kInvalidObject = tombstone
-    uint32_t slot = 0;
+    Slot* slot = nullptr;
   };
 
   struct Shard {
-    std::vector<std::unique_ptr<Slot[]>> slabs;
-    std::vector<uint32_t> free_slots;       // LIFO recycle list of slot ids
-    std::vector<IndexBucket> buckets;       // open-addressed, power-of-two size
-    size_t filled = 0;                      // occupied + tombstoned buckets
-    size_t entries = 0;                     // live keys
+    std::vector<std::unique_ptr<Slot[]>> slabs;  // slab s holds slab_slots(s) slots
+    std::vector<Slot*> free_slots;               // LIFO recycle list
+    std::vector<IndexBucket> buckets;            // open-addressed, power-of-two size
+    size_t filled = 0;                           // occupied + tombstoned buckets
+    size_t entries = 0;                          // live keys
   };
+
+  static constexpr size_t slab_slots(size_t s) {
+    return s < kSlabDoublings ? kFirstSlabSlots << s : kSlabSlots;
+  }
 
   static uint64_t mix(ObjectIndex idx);
   Shard& shard_of(ObjectIndex idx) { return shards_[mix(idx) & (kShardCount - 1)]; }
@@ -261,8 +272,11 @@ class ObjectTable {
 
   Slot* find_slot(ObjectIndex idx);
   const Slot* find_slot(ObjectIndex idx) const;
-  void index_insert(Shard& shard, ObjectIndex idx, uint32_t slot);
-  uint32_t index_erase(Shard& shard, ObjectIndex idx);  // returns the freed slot id
+  // Pops the shard's next slot: the last one freed, else the next fresh one, adding a slab
+  // when none is left. Fresh slots go out front to back, so slot order is allocation order.
+  static Slot* take_slot(Shard& shard);
+  void index_insert(Shard& shard, ObjectIndex idx, Slot* slot);
+  void index_erase(Shard& shard, ObjectIndex idx);
   void index_grow(Shard& shard);
 
   // Walks every live slot in deterministic order: shard 0..N, slabs in allocation order,
@@ -272,7 +286,7 @@ class ObjectTable {
     for (const Shard& shard : shards_) {
       for (size_t s = 0; s < shard.slabs.size(); ++s) {
         const Slot* slab = shard.slabs[s].get();
-        for (size_t i = 0; i < kSlabSlots; ++i) {
+        for (size_t i = 0; i < slab_slots(s); ++i) {
           if (slab[i].idx != kInvalidObject) {
             fn(slab[i].idx, slab[i].obj);
           }
@@ -284,8 +298,8 @@ class ObjectTable {
   Result<const Object*> lookup(ObjectIndex idx, uint32_t ref_reboot) const;
   Object* mutable_lookup(ObjectIndex idx);
   const Object* find_object(ObjectIndex idx) const;
-  ObjectIndex insert(Object obj);
-  void insert_with_index(ObjectIndex idx, Object obj);  // snapshot restore path
+  ObjectIndex insert(Object obj);                       // takes the next index
+  void insert_with_index(ObjectIndex idx, Object obj);  // also the snapshot restore path
   void link_child(ObjectIndex parent_idx, ObjectIndex child_idx);
   void invalidate_subtree(ObjectIndex idx, RevokeResult& out);
   bool erase_one(ObjectIndex idx);

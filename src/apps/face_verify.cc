@@ -1,6 +1,9 @@
 #include "src/apps/face_verify.h"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -26,6 +29,25 @@ std::vector<uint8_t> face_batch(uint32_t batch, uint32_t images_per_batch,
     content.insert(content.end(), img.begin(), img.end());
   }
   return content;
+}
+
+std::shared_ptr<const FaceBatches> face_database(const FaceVerifyParams& params) {
+  using Shape = std::tuple<uint32_t, uint32_t, uint64_t>;
+  static std::mutex mu;
+  static std::map<Shape, std::weak_ptr<const FaceBatches>> live;
+  const std::lock_guard<std::mutex> lock(mu);
+  std::weak_ptr<const FaceBatches>& entry =
+      live[{params.num_batches, params.images_per_batch, params.image_bytes}];
+  if (std::shared_ptr<const FaceBatches> shared = entry.lock()) {
+    return shared;
+  }
+  auto batches = std::make_shared<FaceBatches>();
+  batches->reserve(params.num_batches);
+  for (uint32_t b = 0; b < params.num_batches; ++b) {
+    batches->push_back(face_batch(b, params.images_per_batch, params.image_bytes));
+  }
+  entry = batches;
+  return batches;
 }
 
 SimGpu::Kernel make_face_verify_kernel(Duration per_image_compute) {
@@ -63,7 +85,11 @@ FaceVerifyCluster FaceVerifyCluster::build(System* sys) {
 
 FaceVerifyFractos::FaceVerifyFractos(System* sys, FaceVerifyCluster* cluster, Loc ctrl_loc,
                                      FaceVerifyParams params, Controller* shared_controller)
-    : sys_(sys), cluster_(cluster), params_(params), slot_pool_(params.pool_slots) {
+    : sys_(sys),
+      cluster_(cluster),
+      params_(params),
+      slot_pool_(params.pool_slots),
+      batches_(face_database(params)) {
   slot_pool_.instrument(&sys->loop(), "facever");
   const uint64_t batch_bytes = params_.image_bytes * params_.images_per_batch;
 
@@ -158,7 +184,7 @@ void FaceVerifyFractos::ingest_database() {
   for (uint32_t b = 0; b < params_.num_batches; ++b) {
     const std::string name = "batch_" + std::to_string(b);
     FRACTOS_CHECK(sys_->await(FsClient::create(*frontend_, fs_create_, name, batch_bytes)).ok());
-    frontend_->write_mem(stage_addr, probe_for(b));
+    frontend_->write_mem(stage_addr, (*batches_)[b]);
     auto f = sys_->await_ok(FsClient::open(*frontend_, fs_open_, name, true, false));
     FRACTOS_CHECK(sys_->await(FsClient::write(*frontend_, f, 0, batch_bytes, stage)).ok());
     FRACTOS_CHECK(sys_->await(FsClient::close(*frontend_, f)).ok());
@@ -172,16 +198,6 @@ FaceVerifyFractos::~FaceVerifyFractos() {
   }
 }
 
-const std::vector<uint8_t>& FaceVerifyFractos::probe_for(uint32_t batch) {
-  if (probe_cache_.size() <= batch) {
-    probe_cache_.resize(batch + 1);
-  }
-  if (probe_cache_[batch].empty()) {
-    probe_cache_[batch] = face_batch(batch, params_.images_per_batch, params_.image_bytes);
-  }
-  return probe_cache_[batch];
-}
-
 void FaceVerifyFractos::finish_slot(size_t i, Status st) {
   Slot& sl = slots_[i];
   if (!sl.completion.has_value()) {
@@ -193,6 +209,7 @@ void FaceVerifyFractos::finish_slot(size_t i, Status st) {
 }
 
 Future<Result<bool>> FaceVerifyFractos::verify(uint32_t batch, bool tamper) {
+  FRACTOS_CHECK(batch < batches_->size());
   if (MetricsRegistry* m = sys_->loop().metrics()) {
     static const NameId kRequests = intern_name("facever.requests");
     m->add(kRequests);
@@ -230,17 +247,17 @@ void FaceVerifyFractos::run_on_slot(size_t s, uint32_t batch, bool tamper,
   Slot& slot = slots_[s];
   const uint64_t batch_bytes = params_.image_bytes * params_.images_per_batch;
 
-  // The probe (the client-supplied photos) is the cached batch; a tampered probe must NOT
+  // The probe (the client-supplied photos) is the database batch; a tampered probe must NOT
   // verify, so that (rare, test-only) path takes a private corrupted copy. Slots are reused
   // round-robin, so the pristine probe for this batch is often already staged — skip the
   // redundant 512 KiB write_mem in that case.
   if (tamper) {
-    std::vector<uint8_t> probe = probe_for(batch);
+    std::vector<uint8_t> probe = (*batches_)[batch];
     probe[params_.image_bytes / 2] ^= 0xff;
     frontend_->write_mem(slot.probe_addr, probe);
     slot.staged_batch = -1;
   } else if (slot.staged_batch != static_cast<int64_t>(batch)) {
-    frontend_->write_mem(slot.probe_addr, probe_for(batch));
+    frontend_->write_mem(slot.probe_addr, (*batches_)[batch]);
     slot.staged_batch = static_cast<int64_t>(batch);
   }
 
@@ -322,7 +339,11 @@ void FaceVerifyFractos::run_on_slot(size_t s, uint32_t batch, bool tamper,
 
 FaceVerifyBaseline::FaceVerifyBaseline(System* sys, FaceVerifyCluster* cluster,
                                        FaceVerifyParams params)
-    : sys_(sys), cluster_(cluster), params_(params), slot_pool_(params.pool_slots) {
+    : sys_(sys),
+      cluster_(cluster),
+      params_(params),
+      slot_pool_(params.pool_slots),
+      batches_(face_database(params)) {
   slot_pool_.instrument(&sys->loop(), "facever_baseline");
   nvmeof_target_ =
       std::make_unique<NvmeofTarget>(&sys->net(), cluster->storage_node, cluster->nvme.get());
@@ -355,21 +376,12 @@ void FaceVerifyBaseline::ingest_database() {
     const std::string name = "batch_" + std::to_string(b);
     FRACTOS_CHECK(nfs_server_->create_file(name, batch_bytes).ok());
     auto f = sys_->await_ok(nfs_->open(name));
-    FRACTOS_CHECK(sys_->await(nfs_->write(f, 0, probe_for(b))).ok());
+    FRACTOS_CHECK(sys_->await(nfs_->write(f, 0, (*batches_)[b])).ok());
   }
-}
-
-const std::vector<uint8_t>& FaceVerifyBaseline::probe_for(uint32_t batch) {
-  if (probe_cache_.size() <= batch) {
-    probe_cache_.resize(batch + 1);
-  }
-  if (probe_cache_[batch].empty()) {
-    probe_cache_[batch] = face_batch(batch, params_.images_per_batch, params_.image_bytes);
-  }
-  return probe_cache_[batch];
 }
 
 Future<Result<bool>> FaceVerifyBaseline::verify(uint32_t batch, bool tamper) {
+  FRACTOS_CHECK(batch < batches_->size());
   Promise<Result<bool>> promise;
   slot_pool_.acquire()
       .and_then(
@@ -389,8 +401,8 @@ void FaceVerifyBaseline::run_on_slot(size_t s, uint32_t batch, bool tamper,
     promise.set(e);
   };
 
-  // One copy of the cached batch — cu_memcpy_htod consumes the probe by value.
-  std::vector<uint8_t> probe = probe_for(batch);
+  // One copy of the database batch — cu_memcpy_htod consumes the probe by value.
+  std::vector<uint8_t> probe = (*batches_)[batch];
   if (tamper) {
     probe[params_.image_bytes / 2] ^= 0xff;
   }

@@ -21,6 +21,23 @@ FaceVerifyParams small_params() {
   return p;
 }
 
+TEST(FaceDatabaseTest, OneImmutableCopyPerShape) {
+  const FaceVerifyParams p = small_params();
+  const std::shared_ptr<const FaceBatches> db = face_database(p);
+  ASSERT_EQ(db->size(), p.num_batches);
+  for (uint32_t b = 0; b < p.num_batches; ++b) {
+    EXPECT_EQ((*db)[b], face_batch(b, p.images_per_batch, p.image_bytes));
+  }
+  // Same shape while the first is alive: the same bytes, not a copy. Another shape differs.
+  EXPECT_EQ(face_database(p), db);
+  FaceVerifyParams wider = p;
+  wider.num_batches = p.num_batches + 1;
+  const std::shared_ptr<const FaceBatches> other = face_database(wider);
+  EXPECT_NE(other, db);
+  EXPECT_EQ(other->size(), wider.num_batches);
+  EXPECT_EQ((*other)[0], (*db)[0]);
+}
+
 TEST(FaceVerifyFractosTest, CorrectVerdictsOnCleanAndTamperedProbes) {
   System sys;
   auto cluster = FaceVerifyCluster::build(&sys);

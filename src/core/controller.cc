@@ -5,7 +5,6 @@
 
 #include "src/base/assert.h"
 #include "src/futures/stream.h"
-#include "src/futures/timeout.h"
 #include "src/sim/metrics.h"
 
 namespace fractos {
@@ -26,34 +25,36 @@ NameId peer_msg_type_span_name(MsgType t) {
 
 Controller::Controller(Network* net, Config config)
     : net_(net), config_(config), table_(config.addr),
-      tcache_(config.translation_cache_entries) {
+      tcache_(config.translation_cache_entries),
+      rpc_(net->loop(), config.addr, config, &stats_, &next_seq_,
+           [this](ControllerAddr peer, const Envelope* env, const Payload* frame) {
+             Peer* p = failed_ ? nullptr : find_peer(peer);
+             if (p == nullptr || p->chan->severed()) {
+               return false;
+             }
+             if (env != nullptr) {
+               p->chan->send(Traffic::kControl, *env);
+             } else if (frame != nullptr) {
+               p->chan->send_encoded(Traffic::kControl, *frame);
+             }
+             return true;
+           },
+           [net]() { return net->lossy(); }) {
   FRACTOS_CHECK(net != nullptr);
   exec_ = &net_->node(config_.endpoint.node).context(config_.endpoint.loc);
-  name_ = "ctrl-" + std::to_string(config_.addr);
-  name_id_ = intern_name(name_);
+  name_id_ = intern_name("ctrl-" + std::to_string(config_.addr));
   const std::string mp = "ctrl." + std::to_string(config_.addr) + ".";
   mkeys_.syscalls = intern_name(mp + "syscalls");
   mkeys_.deliveries = intern_name(mp + "deliveries");
   mkeys_.translations = intern_name(mp + "translations");
-  mkeys_.peer_retries = intern_name(mp + "peer_retries");
-  mkeys_.peer_op_timeouts = intern_name(mp + "peer_op_timeouts");
-  mkeys_.peer_dedup_hits = intern_name(mp + "peer_dedup_hits");
-  mkeys_.late_reply = intern_name(mp + "late_reply");
   // Interning is registry-free; the registry only learns these keys if a hot-path feature
   // actually touches them, keeping default-config metric snapshots unchanged.
   const std::string cp = "cap." + std::to_string(config_.addr) + ".";
   mkeys_.cap_cache_hit = intern_name(cp + "xlate_hit");
   mkeys_.cap_cache_miss = intern_name(cp + "xlate_miss");
   mkeys_.cap_revoke_subtree = intern_name(cp + "revoke_subtree");
-  mkeys_.cap_batch_occupancy = intern_name(cp + "batch_occupancy");
   mkeys_.admission_admitted = intern_name(mp + "admission.admitted");
   mkeys_.admission_shed = intern_name(mp + "admission.shed");
-}
-
-Controller::~Controller() {
-  // Peer ops still in flight at teardown complete with kChannelClosed; their futures would
-  // otherwise trip the broken-promise detector.
-  fail_pending_ops(ErrorCode::kChannelClosed);
 }
 
 // --- wiring ----------------------------------------------------------------------------------
@@ -84,7 +85,17 @@ Channel& Controller::connect_peer(ControllerAddr peer, Endpoint peer_ep) {
   p.chan = std::make_unique<Channel>(net_, config_.endpoint);
   Channel& chan = *p.chan;
   chan.set_handler([this, peer](Envelope env) { on_peer_msg(peer, std::move(env)); });
-  chan.set_severed_handler([this, peer]() { on_peer_severed(peer); });
+  chan.set_severed_handler([this, peer]() {
+    if (failed_) {
+      return;  // fail() completes every pending op itself
+    }
+    rpc_.on_severed(peer);
+    // Replication: a dead leader's followers start a (rank-staggered) election immediately
+    // rather than waiting out the lease.
+    for (auto& [seat, group] : repl_groups_) {
+      group->on_peer_severed(peer);
+    }
+  });
   peers_.emplace(peer, std::move(p));
   return chan;
 }
@@ -234,11 +245,11 @@ void Controller::on_peer_msg(ControllerAddr peer, Envelope env) {
         peer_remote_derive_batch(peer, std::get<RemoteDeriveBatchMsg>(env.body));
         break;
       case MsgType::kPeerReply:
-        peer_reply(std::get<PeerReplyMsg>(env.body));
+        rpc_.on_reply(std::get<PeerReplyMsg>(env.body));
         break;
       case MsgType::kPeerReplyBatch:
         for (const PeerReplyMsg& r : std::get<PeerReplyBatchMsg>(env.body).replies) {
-          peer_reply(r);
+          rpc_.on_reply(r);
         }
         break;
       case MsgType::kRevokeBroadcast:
@@ -272,10 +283,6 @@ void Controller::on_peer_msg(ControllerAddr peer, Envelope env) {
   });
 }
 
-void Controller::charge(Duration cost, std::function<void()> fn) {
-  exec_->run(cost, std::move(fn));
-}
-
 void Controller::note_translation(Duration cost) {
   if (MetricsRegistry* m = net_->loop()->metrics()) {
     m->add(mkeys_.translations);
@@ -286,7 +293,7 @@ void Controller::note_translation(Duration cost) {
 
 void Controller::record_translation_span(Duration cost, NameId name) {
   if (span_tracing_active() && net_->loop()->span_tracer() != nullptr) {
-    // Called from the charge() callback, so the scaled cost has just elapsed on exec_:
+    // Called from an exec_->run() callback, so the scaled cost has just elapsed on exec_:
     // the execution window is exactly [now - cost/speed, now].
     const Time now = net_->loop()->now();
     const Duration scaled = cost / exec_->speed();
@@ -327,32 +334,12 @@ Status Controller::translation_cache_audit() const {
   return bad == ErrorCode::kOk ? ok_status() : Status(bad);
 }
 
-void Controller::close_peer_op_span(uint64_t op_id, const char* error) {
-  auto it = pending_op_spans_.find(op_id);
-  if (it == pending_op_spans_.end()) {
-    return;
-  }
-  const uint64_t span = it->second;
-  pending_op_spans_.erase(it);
-  if (SpanTracer* t = net_->loop()->span_tracer()) {
-    if (error != nullptr) {
-      t->end_error(span, net_->loop()->now(), error);
-    } else {
-      t->end(span, net_->loop()->now());
-    }
-  }
-}
-
 // --- syscall handlers ----------------------------------------------------------------------------
 
 void Controller::handle_syscall(ProcState& p, const Envelope& env) {
   ++stats_.syscalls;
   if (MetricsRegistry* m = net_->loop()->metrics()) {
     m->add(mkeys_.syscalls);
-  }
-  if (net_->loop()->tracing() && env.type != MsgType::kDeliverAck) {
-    net_->loop()->trace(name_, std::string("syscall ") + msg_type_name(env.type) + " from pid " +
-                                   std::to_string(p.pid));
   }
   switch (env.type) {
     case MsgType::kNullOp:
@@ -405,6 +392,42 @@ void Controller::reply(ProcState& p, uint64_t seq, ErrorCode status, CapId cid) 
   p.chan->send(Traffic::kControl, make_envelope(next_seq_++, m));
 }
 
+void Controller::reply_to(ProcessId pid, uint64_t seq, ErrorCode status, CapId cid) {
+  auto it = procs_.find(pid);
+  if (it != procs_.end() && it->second->alive) {
+    reply(*it->second, seq, status, cid);
+  }
+}
+
+std::function<void(ErrorCode)> Controller::reply_on_commit(ProcessId pid, uint64_t seq,
+                                                           Result<CapId> cid) {
+  return [this, pid, seq, cid](ErrorCode ec) {
+    if (ec == ErrorCode::kOk && !cid.ok()) {
+      ec = cid.error();
+    }
+    reply_to(pid, seq, ec, ec == ErrorCode::kOk ? cid.value() : kInvalidCap);
+  };
+}
+
+std::function<void(Result<PeerReplyMsg>&&)> Controller::install_peer_result(ProcessId pid,
+                                                                            uint64_t seq) {
+  return [this, pid, seq](Result<PeerReplyMsg>&& res) {
+    auto it = procs_.find(pid);
+    if (it == procs_.end() || !it->second->alive) {
+      return;
+    }
+    ProcState& proc = *it->second;
+    const ErrorCode status = res.ok() ? res.value().status : res.error();
+    if (status != ErrorCode::kOk) {
+      reply(proc, seq, status);
+      return;
+    }
+    const WireCap& w = res.value().result;
+    auto cid = proc.caps.install(CapEntry{w.ref, w.kind, w.perms, w.mem, w.tracked});
+    reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
+  };
+}
+
 void Controller::sc_memory_create(ProcState& p, uint64_t seq, const MemoryCreateMsg& m) {
   // The Process registers memory it physically owns: a pool on its own node.
   if (!can_mutate_seat(addr())) {
@@ -438,15 +461,7 @@ void Controller::sc_memory_create(ProcState& p, uint64_t seq, const MemoryCreate
   op.result_index = idx.value();
   op.mem = desc;
   op.perms = m.perms;
-  const ProcessId pid = p.pid;
-  const CapId out = cid.value();
-  commit_mutation(addr(), std::move(op), [this, pid, seq, out](ErrorCode ec) {
-    auto it = procs_.find(pid);
-    if (it == procs_.end() || !it->second->alive) {
-      return;
-    }
-    reply(*it->second, seq, ec, ec == ErrorCode::kOk ? out : kInvalidCap);
-  });
+  commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
 }
 
 void Controller::sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDiminishMsg& m) {
@@ -486,18 +501,7 @@ void Controller::sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDimi
     op.offset = m.offset;
     op.size = m.size;
     op.perms = m.drop_perms;
-    const ProcessId pid = p.pid;
-    const ErrorCode install_status = cid.ok() ? ErrorCode::kOk : cid.error();
-    const CapId out = cid.value_or(kInvalidCap);
-    commit_mutation(addr(), std::move(op),
-                    [this, pid, seq, install_status, out](ErrorCode ec) {
-                      auto it = procs_.find(pid);
-                      if (it == procs_.end() || !it->second->alive) {
-                        return;
-                      }
-                      reply(*it->second, seq, ec == ErrorCode::kOk ? install_status : ec,
-                            ec == ErrorCode::kOk ? out : kInvalidCap);
-                    });
+    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
     return;
   }
   // Derivation at the owner: single message to the owning Controller (Section 3.5).
@@ -509,29 +513,8 @@ void Controller::sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDimi
   rd.offset = m.offset;
   rd.size = m.size;
   rd.drop_perms = m.drop_perms;
-  const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(e.ref.owner);
-  call_peer_derive(owner, std::move(rd))
-      .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it == procs_.end() || !it->second->alive) {
-          return;
-        }
-        ProcState& proc = *it->second;
-        if (!res.ok()) {
-          reply(proc, seq, res.error());
-          return;
-        }
-        PeerReplyMsg r = std::move(res).value();
-        if (r.status != ErrorCode::kOk) {
-          reply(proc, seq, r.status);
-          return;
-        }
-        CapEntry derived{r.result.ref, r.result.kind, r.result.perms, r.result.mem,
-                         r.result.tracked};
-        auto cid = proc.caps.install(derived);
-        reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
-      });
+  rpc_.call_derive(route_owner(e.ref.owner), std::move(rd))
+      .on_ready(install_peer_result(p.pid, seq));
 }
 
 void Controller::sc_memory_copy(ProcState& p, uint64_t seq, const MemoryCopyMsg& m) {
@@ -578,13 +561,8 @@ void Controller::do_copy(ProcState& p, uint64_t seq, const CapEntry& src, const 
   const uint64_t total = src.mem.size;
   ++stats_.copies;
   stats_.copy_bytes += total;
-  const ProcessId pid = p.pid;
-  auto done = [this, pid, seq](Status s) {
-    auto it = procs_.find(pid);
-    if (it == procs_.end() || !it->second->alive) {
-      return;
-    }
-    reply(*it->second, seq, s.ok() ? ErrorCode::kOk : s.error());
+  auto done = [this, pid = p.pid, seq](Status s) {
+    reply_to(pid, seq, s.ok() ? ErrorCode::kOk : s.error());
   };
   if (config_.hw_third_party_copies) {
     Network::RdmaSide s{src.mem.node, key_of(src.ref), src.mem.pool, src.mem.addr};
@@ -670,12 +648,8 @@ Duration Controller::cap_serialize_cost(const std::vector<WireCap>& caps) {
   return total;
 }
 
-void Controller::node_recovered(uint32_t node) {
+void Controller::node_recovered(uint32_t /*node*/) {
   ++stats_.node_recoveries;
-  if (net_->loop()->tracing()) {
-    net_->loop()->trace(name_, "node " + std::to_string(node) +
-                                   " re-admitted (spurious failure report)");
-  }
 }
 
 void Controller::node_failed(uint32_t node) {
@@ -775,15 +749,7 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
     FRACTOS_CHECK(table_.set_endpoint_cid(idx.value(), cid.value()).ok());
     op.result_index = idx.value();
     op.cid = cid.value();  // followers apply the endpoint cid as part of the same entry
-    const ProcessId pid = p.pid;
-    const CapId out = cid.value();
-    commit_mutation(addr(), std::move(op), [this, pid, seq, out](ErrorCode ec) {
-      auto it = procs_.find(pid);
-      if (it == procs_.end() || !it->second->alive) {
-        return;
-      }
-      reply(*it->second, seq, ec, ec == ErrorCode::kOk ? out : kInvalidCap);
-    });
+    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
     return;
   }
 
@@ -817,18 +783,7 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
     entry.kind = ObjectKind::kRequest;
     auto cid = p.caps.install(entry);
     op.result_index = idx.value();
-    const ProcessId pid = p.pid;
-    const ErrorCode install_status = cid.ok() ? ErrorCode::kOk : cid.error();
-    const CapId out = cid.value_or(kInvalidCap);
-    commit_mutation(addr(), std::move(op),
-                    [this, pid, seq, install_status, out](ErrorCode ec) {
-                      auto it = procs_.find(pid);
-                      if (it == procs_.end() || !it->second->alive) {
-                        return;
-                      }
-                      reply(*it->second, seq, ec == ErrorCode::kOk ? install_status : ec,
-                            ec == ErrorCode::kOk ? out : kInvalidCap);
-                    });
+    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
     return;
   }
 
@@ -843,29 +798,10 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
   const ProcessId pid = p.pid;
   const ControllerAddr owner = route_owner(base.value().ref.owner);
   const Duration extra = cap_serialize_cost(rd.caps);
-  charge(extra, [this, pid, seq, owner, extra, rd = std::move(rd)]() mutable {
+  exec_->run(extra, [this, pid, seq, owner, extra, rd = std::move(rd)]() mutable {
     note_translation(extra);
-    call_peer_derive(owner, std::move(rd))
-        .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-          auto it = procs_.find(pid);
-          if (it == procs_.end() || !it->second->alive) {
-            return;
-          }
-          ProcState& proc = *it->second;
-          if (!res.ok()) {
-            reply(proc, seq, res.error());
-            return;
-          }
-          PeerReplyMsg r = std::move(res).value();
-          if (r.status != ErrorCode::kOk) {
-            reply(proc, seq, r.status);
-            return;
-          }
-          CapEntry entry{r.result.ref, r.result.kind, r.result.perms, r.result.mem,
-                         r.result.tracked};
-          auto cid = proc.caps.install(entry);
-          reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
-        });
+    rpc_.call_derive(owner, std::move(rd))
+        .on_ready(install_peer_result(pid, seq));
   });
 }
 
@@ -954,7 +890,7 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
     // stamp it into the translation tax bucket, then deliver.
     const ObjectRef target = e.ref;
     const ProcessId pid = p.pid;
-    charge(extra, [this, pid, seq, target, extra, imms = m.imms,
+    exec_->run(extra, [this, pid, seq, target, extra, imms = m.imms,
                    wcaps = std::move(caps).value()]() {
       static const NameId kXlateMiss = intern_name("xlate-miss");
       record_translation_span(extra, kXlateMiss);
@@ -983,7 +919,7 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
   const ControllerAddr owner = route_owner(e.ref.owner);
   const Duration extra = config_.costs.net_serialize + cap_serialize_cost(ri.caps);
   reply(p, seq, ErrorCode::kOk);  // accepted; remote failures surface via the error channel
-  charge(extra, [this, owner, extra, ri = std::move(ri)]() mutable {
+  exec_->run(extra, [this, owner, extra, ri = std::move(ri)]() mutable {
     note_translation(extra);
     send_peer(owner, make_envelope(next_seq_++, std::move(ri)));
   });
@@ -1015,18 +951,7 @@ void Controller::sc_cap_create_revtree(ProcState& p, uint64_t seq,
     op.requester = p.pid;
     op.base = e.ref.index;
     op.result_index = idx.value();
-    const ProcessId pid = p.pid;
-    const ErrorCode install_status = cid.ok() ? ErrorCode::kOk : cid.error();
-    const CapId out = cid.value_or(kInvalidCap);
-    commit_mutation(addr(), std::move(op),
-                    [this, pid, seq, install_status, out](ErrorCode ec) {
-                      auto it = procs_.find(pid);
-                      if (it == procs_.end() || !it->second->alive) {
-                        return;
-                      }
-                      reply(*it->second, seq, ec == ErrorCode::kOk ? install_status : ec,
-                            ec == ErrorCode::kOk ? out : kInvalidCap);
-                    });
+    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
     return;
   }
   RemoteDeriveMsg rd;
@@ -1034,29 +959,8 @@ void Controller::sc_cap_create_revtree(ProcState& p, uint64_t seq,
   rd.base = e.ref;
   rd.op = RemoteDeriveMsg::Op::kRevtreeChild;
   rd.requester = p.pid;
-  const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(e.ref.owner);
-  call_peer_derive(owner, std::move(rd))
-      .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it == procs_.end() || !it->second->alive) {
-          return;
-        }
-        ProcState& proc = *it->second;
-        if (!res.ok()) {
-          reply(proc, seq, res.error());
-          return;
-        }
-        PeerReplyMsg r = std::move(res).value();
-        if (r.status != ErrorCode::kOk) {
-          reply(proc, seq, r.status);
-          return;
-        }
-        CapEntry entry{r.result.ref, r.result.kind, r.result.perms, r.result.mem,
-                       r.result.tracked};
-        auto cid = proc.caps.install(entry);
-        reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
-      });
+  rpc_.call_derive(route_owner(e.ref.owner), std::move(rd))
+      .on_ready(install_peer_result(p.pid, seq));
 }
 
 void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m) {
@@ -1080,13 +984,7 @@ void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m
     ReplicatedOp op;
     op.kind = ReplicatedOp::Kind::kRevoke;
     op.base = e.ref.index;
-    const ProcessId pid = p.pid;
-    commit_mutation(addr(), std::move(op), [this, pid, seq](ErrorCode ec) {
-      auto it = procs_.find(pid);
-      if (it != procs_.end() && it->second->alive) {
-        reply(*it->second, seq, ec);
-      }
-    });
+    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq));
     return;
   }
   RemoteDeriveMsg rd;
@@ -1094,14 +992,9 @@ void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m
   rd.base = e.ref;
   rd.op = RemoteDeriveMsg::Op::kRevoke;
   rd.requester = p.pid;
-  const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(e.ref.owner);
-  call_peer_derive(owner, std::move(rd))
-      .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it != procs_.end() && it->second->alive) {
-          reply(*it->second, seq, res.ok() ? res.value().status : res.error());
-        }
+  rpc_.call_derive(route_owner(e.ref.owner), std::move(rd))
+      .on_ready([this, pid = p.pid, seq](Result<PeerReplyMsg>&& res) {
+        reply_to(pid, seq, res.ok() ? res.value().status : res.error());
       });
 }
 
@@ -1133,13 +1026,7 @@ void Controller::sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m,
     op.callback_id = m.callback_id;
     op.sub_controller = addr();
     op.sub_process = p.pid;
-    const ProcessId pid = p.pid;
-    commit_mutation(addr(), std::move(op), [this, pid, seq](ErrorCode ec) {
-      auto it = procs_.find(pid);
-      if (it != procs_.end() && it->second->alive) {
-        reply(*it->second, seq, ec);
-      }
-    });
+    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq));
     return;
   }
   RegisterMonitorMsg rm;
@@ -1149,13 +1036,9 @@ void Controller::sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m,
   rm.subscriber_controller = addr();
   rm.subscriber_process = p.pid;
   const uint64_t op_id = next_op_id_++;
-  const ProcessId pid = p.pid;
-  call_peer(route_owner(e.ref.owner), op_id, make_envelope(op_id, rm))
-      .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it != procs_.end() && it->second->alive) {
-          reply(*it->second, seq, res.ok() ? res.value().status : res.error());
-        }
+  rpc_.call(route_owner(e.ref.owner), make_envelope(op_id, rm))
+      .on_ready([this, pid = p.pid, seq](Result<PeerReplyMsg>&& res) {
+        reply_to(pid, seq, res.ok() ? res.value().status : res.error());
       });
 }
 
@@ -1255,10 +1138,6 @@ void Controller::push_delivery(ProcState& p, DeliverRequestMsg msg) {
   if (MetricsRegistry* m = net_->loop()->metrics()) {
     m->add(mkeys_.deliveries);
   }
-  if (net_->loop()->tracing()) {
-    net_->loop()->trace(name_, "deliver request to pid " + std::to_string(p.pid) + " (" +
-                                   std::to_string(msg.caps.size()) + " caps)");
-  }
   if (p.outstanding >= config_.congestion_window) {
     p.pending.push_back(std::move(msg));
     ++deliveries_queued_;
@@ -1285,27 +1164,21 @@ void Controller::peer_remote_invoke(ControllerAddr origin, const RemoteInvokeMsg
   if (m.target.owner == addr() && m.target.reboot_count == table_.reboot_count()) {
     extra = translation_extra_cost(m.target.index);
   }
-  if (extra == Duration::zero()) {
-    const ErrorCode status = deliver_by_ref(m.target, m.imms, m.caps);
+  auto deliver = [this, origin](const RemoteInvokeMsg& msg) {
+    const ErrorCode status = deliver_by_ref(msg.target, msg.imms, msg.caps);
     if (status != ErrorCode::kOk) {
-      RemoteInvokeErrorMsg err;
-      err.invoke_id = m.invoke_id;
-      err.status = status;
-      send_peer(origin, make_envelope(next_seq_++, err));
+      send_peer(origin, make_envelope(next_seq_++, RemoteInvokeErrorMsg{msg.invoke_id, status}));
     }
+  };
+  if (extra == Duration::zero()) {
+    deliver(m);
     return;
   }
   // Translation-cache miss on a forwarded invoke: the owner pays the chain walk too.
-  charge(extra, [this, origin, extra, m]() {
+  exec_->run(extra, [this, extra, m, deliver]() {
     static const NameId kXlateMiss = intern_name("xlate-miss");
     record_translation_span(extra, kXlateMiss);
-    const ErrorCode status = deliver_by_ref(m.target, m.imms, m.caps);
-    if (status != ErrorCode::kOk) {
-      RemoteInvokeErrorMsg err;
-      err.invoke_id = m.invoke_id;
-      err.status = status;
-      send_peer(origin, make_envelope(next_seq_++, err));
-    }
+    deliver(m);
   });
 }
 
@@ -1342,17 +1215,9 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
                                     std::function<void(const PeerReplyMsg&)> done) {
   // Idempotency: a resent request whose first copy already executed is answered from the
   // reply cache — revokes and derivations must not run twice.
-  const uint64_t dedup_key = peer_op_key(origin, m.op_id);
-  if (net_->lossy()) {
-    auto cached = completed_peer_ops_.find(dedup_key);
-    if (cached != completed_peer_ops_.end()) {
-      ++stats_.peer_dedup_hits;
-      if (MetricsRegistry* mr = net_->loop()->metrics()) {
-        mr->add(mkeys_.peer_dedup_hits);
-      }
-      done(cached->second);
-      return;
-    }
+  if (const PeerReplyMsg* cached = rpc_.lookup(origin, m.op_id)) {
+    done(*cached);
+    return;
   }
   PeerReplyMsg r;
   r.op_id = m.op_id;
@@ -1364,13 +1229,13 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
     r.status = (m.base.owner == addr() || repl_groups_.count(m.base.owner) != 0)
                    ? ErrorCode::kNotLeader
                    : ErrorCode::kInvalidArgument;
-    cache_completed_peer_op(dedup_key, r);
+    rpc_.remember(origin, r);
     done(r);
     return;
   }
   if (m.base.reboot_count != t->reboot_count()) {
     r.status = ErrorCode::kStaleCapability;
-    cache_completed_peer_op(dedup_key, r);
+    rpc_.remember(origin, r);
     done(r);
     return;
   }
@@ -1448,7 +1313,7 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
     }
   }
   if (r.status != ErrorCode::kOk) {
-    cache_completed_peer_op(dedup_key, r);
+    rpc_.remember(origin, r);
     done(r);
     return;
   }
@@ -1458,7 +1323,7 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
   const bool is_revoke = op.kind == ReplicatedOp::Kind::kRevoke;
   auto revoked_state = std::make_shared<ObjectTable::RevokeResult>(std::move(revoked));
   commit_mutation(seat, std::move(op),
-                  [this, seat, dedup_key, r, is_revoke, revoked_state,
+                  [this, origin, seat, r, is_revoke, revoked_state,
                    done = std::move(done)](ErrorCode ec) mutable {
                     if (ec != ErrorCode::kOk) {
                       // Unknown outcome (deposed mid-commit): do NOT cache — the op may be
@@ -1471,27 +1336,9 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
                     if (is_revoke) {
                       apply_revoke_for(seat, *revoked_state);
                     }
-                    cache_completed_peer_op(dedup_key, r);
+                    rpc_.remember(origin, r);
                     done(r);
                   });
-}
-
-void Controller::peer_reply(const PeerReplyMsg& m) {
-  auto it = pending_ops_.find(m.op_id);
-  if (it == pending_ops_.end()) {
-    // The op already completed (first reply won, the deadline fired, or this Controller
-    // failed): resend-induced duplicates and post-timeout stragglers land here.
-    ++stats_.late_replies_ignored;
-    if (MetricsRegistry* mr = net_->loop()->metrics()) {
-      mr->add(mkeys_.late_reply);
-    }
-    return;
-  }
-  Promise<Result<PeerReplyMsg>> promise = std::move(it->second);
-  pending_ops_.erase(it);
-  pending_op_peer_.erase(m.op_id);
-  close_peer_op_span(m.op_id, nullptr);
-  promise.set(Result<PeerReplyMsg>(m));
 }
 
 void Controller::peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadcastMsg& m) {
@@ -1530,8 +1377,8 @@ void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
                                        const RegisterMonitorMsg& m) {
   // The subscriber keys this op by the envelope seq, which resends reuse — so it doubles as
   // the dedup key (double-registering a monitor would double its fire count).
-  const uint64_t dedup_key = peer_op_key(origin, seq);
-  if (replay_completed_peer_op(origin, dedup_key)) {
+  if (const PeerReplyMsg* cached = rpc_.lookup(origin, seq)) {
+    send_peer(origin, make_envelope(next_seq_++, *cached));
     return;
   }
   PeerReplyMsg r;
@@ -1546,7 +1393,7 @@ void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
   }
   r.status = s.ok() ? ErrorCode::kOk : s.error();
   if (!s.ok()) {
-    cache_completed_peer_op(dedup_key, r);
+    rpc_.remember(origin, r);
     send_peer(origin, make_envelope(next_seq_++, r));
     return;
   }
@@ -1558,10 +1405,10 @@ void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
   op.sub_controller = m.subscriber_controller;
   op.sub_process = m.subscriber_process;
   commit_mutation(m.target.owner, std::move(op),
-                  [this, origin, dedup_key, r](ErrorCode ec) mutable {
+                  [this, origin, r](ErrorCode ec) mutable {
                     r.status = ec;
                     if (ec == ErrorCode::kOk) {
-                      cache_completed_peer_op(dedup_key, r);
+                      rpc_.remember(origin, r);
                     }
                     send_peer(origin, make_envelope(next_seq_++, r));
                   });
@@ -1613,11 +1460,6 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
         m->observe(mkeys_.cap_revoke_subtree, result.invalidated.size());
       }
     }
-  }
-  if (net_->loop()->tracing() && !result.invalidated.empty()) {
-    net_->loop()->trace(name_, "revoked " + std::to_string(result.invalidated.size()) +
-                                   " object(s), " + std::to_string(result.fires.size()) +
-                                   " monitor fire(s)");
   }
   if (result.invalidated.empty()) {
     if (fire_monitors) {
@@ -1707,275 +1549,6 @@ void Controller::send_peer(ControllerAddr peer, const Envelope& env, Traffic cat
   p->chan->send(cat, env);
 }
 
-Future<Result<PeerReplyMsg>> Controller::call_peer(ControllerAddr peer, uint64_t op_id,
-                                                   Envelope env) {
-  Promise<Result<PeerReplyMsg>> promise;
-  Future<Result<PeerReplyMsg>> inner = promise.future();
-  Peer* pr = failed_ ? nullptr : find_peer(peer);
-  if (pr == nullptr || pr->chan->severed()) {
-    promise.set(ErrorCode::kChannelClosed);
-    return inner;
-  }
-  pending_ops_.emplace(op_id, promise);
-  pending_op_peer_.emplace(op_id, peer);
-  if (span_tracing_active() && net_->loop()->span_tracer() != nullptr) {
-    static const NameId kPeerOp = intern_name("peer-op");
-    const uint64_t span = net_->loop()->span_tracer()->begin(name_id_, SpanKind::kController,
-                                                             kPeerOp, net_->loop()->now());
-    if (span != 0) {
-      pending_op_spans_.emplace(op_id, span);
-    }
-  }
-  pr->chan->send(Traffic::kControl, env);
-  if (!net_->lossy()) {
-    // Clean fabric: the reply always arrives (or the peer's sever completes the op), so no
-    // timers are armed and simulated time is untouched — the pre-existing fast path.
-    return inner;
-  }
-  schedule_peer_resend(peer, op_id, Channel::encode(env), 1);
-  Future<Result<PeerReplyMsg>> bounded =
-      with_timeout(*net_->loop(), config_.peer_op_deadline, std::move(inner));
-  // Scheduled after with_timeout's own deadline event (same instant, later sequence number):
-  // the consumer sees kTimeout first, so dropping the promise here only triggers a guarded
-  // no-op broken-promise delivery.
-  net_->loop()->schedule_after(config_.peer_op_deadline,
-                               [this, op_id]() { forget_peer_op(op_id); });
-  return bounded;
-}
-
-Future<Result<PeerReplyMsg>> Controller::call_peer_derive(ControllerAddr peer,
-                                                          RemoteDeriveMsg rd) {
-  const uint64_t op_id = rd.op_id;
-  if (config_.peer_op_batch_max == 0) {
-    return call_peer(peer, op_id, make_envelope(op_id, std::move(rd)));
-  }
-  // Batched path: identical promise/span/timeout bookkeeping to call_peer, but the wire
-  // send is deferred to flush_peer_batch.
-  Promise<Result<PeerReplyMsg>> promise;
-  Future<Result<PeerReplyMsg>> inner = promise.future();
-  Peer* pr = failed_ ? nullptr : find_peer(peer);
-  if (pr == nullptr || pr->chan->severed()) {
-    promise.set(ErrorCode::kChannelClosed);
-    return inner;
-  }
-  pending_ops_.emplace(op_id, promise);
-  pending_op_peer_.emplace(op_id, peer);
-  if (span_tracing_active() && net_->loop()->span_tracer() != nullptr) {
-    static const NameId kPeerOp = intern_name("peer-op");
-    const uint64_t span = net_->loop()->span_tracer()->begin(name_id_, SpanKind::kController,
-                                                             kPeerOp, net_->loop()->now());
-    if (span != 0) {
-      pending_op_spans_.emplace(op_id, span);
-    }
-  }
-  PendingBatch& batch = pending_batches_[peer];
-  batch.ops.push_back(std::move(rd));
-  if (batch.ops.size() >= config_.peer_op_batch_max) {
-    flush_peer_batch(peer);
-  } else if (!batch.flush_scheduled) {
-    batch.flush_scheduled = true;
-    net_->loop()->schedule_after(config_.peer_op_batch_delay,
-                                 [this, peer]() { flush_peer_batch(peer); });
-  }
-  if (!net_->lossy()) {
-    return inner;
-  }
-  Future<Result<PeerReplyMsg>> bounded =
-      with_timeout(*net_->loop(), config_.peer_op_deadline, std::move(inner));
-  net_->loop()->schedule_after(config_.peer_op_deadline,
-                               [this, op_id]() { forget_peer_op(op_id); });
-  return bounded;
-}
-
-void Controller::flush_peer_batch(ControllerAddr peer) {
-  auto bit = pending_batches_.find(peer);
-  if (bit == pending_batches_.end()) {
-    return;
-  }
-  PendingBatch batch = std::move(bit->second);
-  pending_batches_.erase(bit);
-  if (failed_) {
-    return;
-  }
-  // Drop members whose promise is already gone (severed peer or deadline before flush);
-  // their futures have already been completed through the error channel.
-  std::erase_if(batch.ops,
-                [this](const RemoteDeriveMsg& op) { return !pending_ops_.contains(op.op_id); });
-  if (batch.ops.empty()) {
-    return;
-  }
-  Peer* pr = find_peer(peer);
-  if (pr == nullptr || pr->chan->severed()) {
-    return;  // on_peer_severed already failed every member op
-  }
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->observe(mkeys_.cap_batch_occupancy, batch.ops.size());
-  }
-  std::vector<uint64_t> op_ids;
-  op_ids.reserve(batch.ops.size());
-  for (const RemoteDeriveMsg& op : batch.ops) {
-    op_ids.push_back(op.op_id);
-  }
-  RemoteDeriveBatchMsg msg;
-  msg.ops = std::move(batch.ops);
-  Envelope env = make_envelope(next_seq_++, std::move(msg));
-  pr->chan->send(Traffic::kControl, env);
-  if (net_->lossy()) {
-    schedule_batch_resend(peer, std::move(op_ids), Channel::encode(env), 1);
-  }
-}
-
-void Controller::schedule_batch_resend(ControllerAddr peer, std::vector<uint64_t> op_ids,
-                                       Payload frame, uint32_t attempt) {
-  if (attempt > config_.peer_op_retry_budget) {
-    return;
-  }
-  const Duration delay =
-      config_.peer_op_rto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
-  net_->loop()->schedule_after(delay, [this, peer, op_ids = std::move(op_ids),
-                                       frame = std::move(frame), attempt]() mutable {
-    if (failed_) {
-      return;
-    }
-    // The whole frame is resent while ANY member is still pending; receiver-side per-op
-    // dedup replays already-executed members instead of running them twice.
-    const bool any_pending = std::any_of(
-        op_ids.begin(), op_ids.end(),
-        [this](uint64_t op_id) { return pending_ops_.contains(op_id); });
-    if (!any_pending) {
-      return;
-    }
-    ++stats_.peer_retries;
-    if (MetricsRegistry* m = net_->loop()->metrics()) {
-      m->add(mkeys_.peer_retries);
-    }
-    Peer* pr = find_peer(peer);
-    if (pr != nullptr && !pr->chan->severed()) {
-      pr->chan->send_encoded(Traffic::kControl, frame);
-    }
-    schedule_batch_resend(peer, std::move(op_ids), std::move(frame), attempt + 1);
-  });
-}
-
-void Controller::schedule_peer_resend(ControllerAddr peer, uint64_t op_id, Payload frame,
-                                      uint32_t attempt) {
-  if (attempt > config_.peer_op_retry_budget) {
-    return;
-  }
-  const Duration delay =
-      config_.peer_op_rto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
-  net_->loop()->schedule_after(delay, [this, peer, op_id, frame = std::move(frame),
-                                       attempt]() mutable {
-    if (failed_ || !pending_ops_.contains(op_id)) {
-      return;  // answered, timed out, or this Controller failed
-    }
-    ++stats_.peer_retries;
-    if (MetricsRegistry* m = net_->loop()->metrics()) {
-      m->add(mkeys_.peer_retries);
-    }
-    Peer* pr = find_peer(peer);
-    if (pr != nullptr && !pr->chan->severed()) {
-      pr->chan->send_encoded(Traffic::kControl, frame);
-    }
-    schedule_peer_resend(peer, op_id, std::move(frame), attempt + 1);
-  });
-}
-
-void Controller::forget_peer_op(uint64_t op_id) {
-  auto it = pending_ops_.find(op_id);
-  if (it == pending_ops_.end()) {
-    return;
-  }
-  ++stats_.peer_op_timeouts;
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->add(mkeys_.peer_op_timeouts);
-  }
-  pending_ops_.erase(it);
-  pending_op_peer_.erase(op_id);
-  close_peer_op_span(op_id, "timeout");
-}
-
-void Controller::on_peer_severed(ControllerAddr peer) {
-  if (failed_) {
-    return;  // fail() already completed everything with kChannelClosed
-  }
-  // Collect first: completing a promise runs its continuation synchronously, and a
-  // continuation may start new peer ops.
-  std::vector<uint64_t> ops;
-  for (const auto& [op_id, target] : pending_op_peer_) {
-    if (target == peer) {
-      ops.push_back(op_id);
-    }
-  }
-  for (uint64_t op_id : ops) {
-    auto it = pending_ops_.find(op_id);
-    if (it == pending_ops_.end()) {
-      continue;
-    }
-    Promise<Result<PeerReplyMsg>> promise = std::move(it->second);
-    pending_ops_.erase(it);
-    pending_op_peer_.erase(op_id);
-    close_peer_op_span(op_id, "channel-closed");
-    promise.set(ErrorCode::kChannelClosed);
-  }
-  // Replication: a dead leader's followers start a (rank-staggered) election immediately
-  // rather than waiting out the lease.
-  for (auto& [seat, group] : repl_groups_) {
-    group->on_peer_severed(peer);
-  }
-}
-
-bool Controller::replay_completed_peer_op(ControllerAddr origin, uint64_t key) {
-  if (!net_->lossy()) {
-    return false;
-  }
-  auto it = completed_peer_ops_.find(key);
-  if (it == completed_peer_ops_.end()) {
-    return false;
-  }
-  ++stats_.peer_dedup_hits;
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->add(mkeys_.peer_dedup_hits);
-  }
-  send_peer(origin, make_envelope(next_seq_++, it->second));
-  return true;
-}
-
-void Controller::cache_completed_peer_op(uint64_t key, const PeerReplyMsg& reply) {
-  if (!net_->lossy()) {
-    return;  // duplicates are impossible on a clean fabric; don't grow state for nothing
-  }
-  // Deterministic TTL eviction on simulated time: once an entry outlives peer_op_dedup_ttl
-  // (>> peer_op_deadline), no resend of its op can still arrive, so it is dropped from the
-  // front of the FIFO. The size cap stays as the hard backstop.
-  const Time now = net_->loop()->now();
-  while (!completed_peer_ops_fifo_.empty() &&
-         now.ns() - completed_peer_ops_fifo_.front().second.ns() >=
-             config_.peer_op_dedup_ttl.ns()) {
-    completed_peer_ops_.erase(completed_peer_ops_fifo_.front().first);
-    completed_peer_ops_fifo_.pop_front();
-  }
-  if (completed_peer_ops_.emplace(key, reply).second) {
-    completed_peer_ops_fifo_.push_back({key, now});
-    if (completed_peer_ops_fifo_.size() > kCompletedPeerOpCacheCap) {
-      completed_peer_ops_.erase(completed_peer_ops_fifo_.front().first);
-      completed_peer_ops_fifo_.pop_front();
-    }
-  }
-}
-
-void Controller::fail_pending_ops(ErrorCode status) {
-  // Move the map out first: completing a promise runs its continuation synchronously, and a
-  // continuation may start new peer ops.
-  auto pending = std::move(pending_ops_);
-  pending_ops_.clear();
-  pending_op_peer_.clear();
-  for (auto& [op_id, promise] : pending) {
-    close_peer_op_span(op_id, "channel-closed");
-    promise.set(status);
-  }
-}
-
 // --- failure handling -----------------------------------------------------------------------------
 
 void Controller::process_failed(ProcessId pid) {
@@ -1986,9 +1559,6 @@ void Controller::process_failed(ProcessId pid) {
   ProcState& p = *it->second;
   p.alive = false;
   ++stats_.process_failures;
-  if (net_->loop()->tracing()) {
-    net_->loop()->trace(name_, "process " + std::to_string(pid) + " failed; translating to revocations");
-  }
   p.chan->sever();
 
   // Tracked (per-delegation) entries are revoked at their owners — this is what decrements
@@ -2013,7 +1583,7 @@ void Controller::process_failed(ProcessId pid) {
       rd.op = RemoteDeriveMsg::Op::kRevoke;
       rd.requester = pid;
       // Fire-and-forget: the reply needs no action, so the future is dropped unconsumed.
-      call_peer_derive(route_owner(entry.ref.owner), std::move(rd));
+      rpc_.call_derive(route_owner(entry.ref.owner), std::move(rd));
     }
   }
   // Everything the Process registered is invalidated.
@@ -2043,9 +1613,8 @@ void Controller::fail() {
   }
   // Outstanding peer ops complete through the error channel rather than dangling; their
   // continuations bail out early because every local process is now marked dead.
-  fail_pending_ops(ErrorCode::kChannelClosed);
+  rpc_.fail_all(ErrorCode::kChannelClosed);
   pending_invokes_.clear();
-  pending_batches_.clear();
 }
 
 void Controller::restart() {
@@ -2054,9 +1623,7 @@ void Controller::restart() {
   // counter bump makes every capability that references this Controller stale.
   procs_.clear();
   peers_.clear();
-  completed_peer_ops_.clear();
-  completed_peer_ops_fifo_.clear();
-  pending_batches_.clear();
+  rpc_.clear_cache();
   // Every cached translation references pre-reboot objects; the generation bump makes them
   // stale wholesale.
   tcache_.clear();

@@ -24,7 +24,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "src/cap/object_table.h"
 #include "src/core/channel.h"
 #include "src/core/costs.h"
+#include "src/core/peer_rpc.h"
 #include "src/core/replication.h"
 #include "src/core/translation_cache.h"
 #include "src/fabric/network.h"
@@ -69,7 +69,9 @@ struct ControllerStats {
 
 class Controller {
  public:
-  struct Config {
+  // The peer-op knobs (peer_op_rto, _retry_budget, _deadline, _dedup_ttl, _batch_max,
+  // _batch_delay) are inherited from PeerRpc::Config.
+  struct Config : PeerRpc::Config {
     ControllerAddr addr = 0;
     Endpoint endpoint;
     ControllerCosts costs;
@@ -86,16 +88,6 @@ class Controller {
     // repeat delegations of the same object pay a fraction of the serialization cost.
     bool cache_serialized_requests = false;
     double serialized_cache_discount = 0.25;  // fraction of cap_serialize paid on a hit
-    // Peer-op reliability (effective only on a lossy fabric): requests are resent with
-    // exponential backoff from peer_op_rto, at most peer_op_retry_budget times, and the
-    // whole operation times out with kTimeout at peer_op_deadline.
-    Duration peer_op_rto = Duration::micros(150);
-    uint32_t peer_op_retry_budget = 3;
-    Duration peer_op_deadline = Duration::millis(1);
-    // Completed-peer-op dedup entries older than this are evicted (deterministically, on
-    // simulated time). Must stay well above peer_op_deadline: once an op's deadline passes,
-    // no more resends of it can arrive, so its cached reply is dead weight.
-    Duration peer_op_dedup_ttl = Duration::millis(50);
     // Capability hot path (all off by default for compatibility with existing goldens):
     // owner-side translation cache capacity in entries; 0 disables caching.
     uint32_t translation_cache_entries = 0;
@@ -104,20 +96,9 @@ class Controller {
     // hit. Off means the legacy flat pricing (every invoke costs the same regardless of
     // delegation depth) — enabling it without a cache is the honest baseline for Fig. 7.
     bool charge_chain_traversal = false;
-    // Batched owner-bound peer ops: coalesce up to this many RemoteDerive ops per peer into
-    // one kRemoteDeriveBatch frame (amortizing per-message syscall_base). 0 sends singles.
-    uint32_t peer_op_batch_max = 0;
-    // How long a non-full batch may wait for more ops before flushing.
-    Duration peer_op_batch_delay = Duration::micros(2);
   };
 
-  // Bound on the completed-peer-op reply cache (receiver-side dedup, lossy fabric only).
-  static constexpr size_t kCompletedPeerOpCacheCap = 4096;
-
   Controller(Network* net, Config config);
-  // Completes any still-pending peer operations with kChannelClosed so their futures never
-  // dangle (broken-promise discipline).
-  ~Controller();
 
   ControllerAddr addr() const { return config_.addr; }
   Endpoint endpoint() const { return config_.endpoint; }
@@ -233,7 +214,7 @@ class Controller {
   uint64_t deliveries_queued() const { return deliveries_queued_; }
   size_t pending_cleanups() const { return pending_cleanups_.size(); }
   const ControllerStats& stats() const { return stats_; }
-  size_t completed_peer_op_cache_size() const { return completed_peer_ops_.size(); }
+  size_t completed_peer_op_cache_size() const { return rpc_.cache_size(); }
   const TranslationCache& translation_cache() const { return tcache_; }
   // Re-resolves every cached translation against the live table and fails if any cached
   // entry differs (a stale entry would let a revoked capability be honored). The property
@@ -277,7 +258,7 @@ class Controller {
   void peer_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m);
   void peer_remote_derive_batch(ControllerAddr origin, const RemoteDeriveBatchMsg& m);
   // Executes one owner-bound derive op (or replays its cached reply) and hands the reply to
-  // `done`; dedup is internal, so batch members stay individually idempotent. Without a
+  // `done`; dedup (PeerRpc::lookup) is per op, so batch members stay idempotent. Without a
   // replication group `done` runs synchronously (the pre-replication code path, verbatim);
   // with one, mutating ops defer `done` until the logged entry commits on a majority.
   void exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m,
@@ -291,6 +272,14 @@ class Controller {
 
   // --- helpers ---
   void reply(ProcState& p, uint64_t seq, ErrorCode status, CapId cid = kInvalidCap);
+  // Same, to `pid` if it is still alive (continuations outlive the ProcState& they began on).
+  void reply_to(ProcessId pid, uint64_t seq, ErrorCode status, CapId cid = kInvalidCap);
+  // Commit continuation of a syscall that installed `cid` (or failed to install it).
+  std::function<void(ErrorCode)> reply_on_commit(ProcessId pid, uint64_t seq,
+                                                 Result<CapId> cid = kInvalidCap);
+  // Peer-op continuation of a remote derivation: installs the returned object into `pid`'s
+  // space and replies with its cid.
+  std::function<void(Result<PeerReplyMsg>&&)> install_peer_result(ProcessId pid, uint64_t seq);
   // Releases one admission-gate slot (no-op for ungated processes).
   static void admission_release(ProcState& p) {
     if (p.admission_inflight > 0) {
@@ -324,49 +313,11 @@ class Controller {
   }
   void dispatch_monitor_fire(const ObjectTable::MonitorFire& fire);
   void send_peer(ControllerAddr peer, const Envelope& env, Traffic cat = Traffic::kControl);
-  // Issues a RemoteDerive/RegisterMonitor-style op keyed by `op_id`: registers the pending
-  // promise, sends `env` to `peer`, and returns a future for the reply. Completes
-  // immediately with kChannelClosed if the peer is unreachable. On a lossy fabric the
-  // request is additionally resent with exponential backoff and the whole op is bounded by
-  // with_timeout(peer_op_deadline) — a lost conversation surfaces as kTimeout on the error
-  // channel instead of hanging the simulation.
-  Future<Result<PeerReplyMsg>> call_peer(ControllerAddr peer, uint64_t op_id, Envelope env);
-  // Like call_peer for RemoteDerive ops, but routes through the per-peer batcher when
-  // Config::peer_op_batch_max > 0: the op is queued and flushed as part of one
-  // kRemoteDeriveBatch frame (at batch_max occupancy or after peer_op_batch_delay). Each
-  // queued op keeps its own op_id, promise, span, and (lossy) timeout, so completion and
-  // idempotency semantics are identical to the unbatched path.
-  Future<Result<PeerReplyMsg>> call_peer_derive(ControllerAddr peer, RemoteDeriveMsg rd);
-  void flush_peer_batch(ControllerAddr peer);
-  // Lossy-fabric resend of a whole batch frame: retried while ANY member op is still
-  // pending (receiver-side dedup makes re-executed members harmless).
-  void schedule_batch_resend(ControllerAddr peer, std::vector<uint64_t> op_ids, Payload frame,
-                             uint32_t attempt);
-  // Resends carry the frame pre-encoded: one Envelope serialization per op, shared by every
-  // retransmission attempt (the Payload copy is a refcount bump).
-  void schedule_peer_resend(ControllerAddr peer, uint64_t op_id, Payload frame,
-                            uint32_t attempt);
-  // Deadline bookkeeping: drops the pending promise at op deadline (its with_timeout wrapper
-  // has already delivered kTimeout) and counts the timeout.
-  void forget_peer_op(uint64_t op_id);
-  // Peer channel severed: every pending op addressed to that peer completes kChannelClosed.
-  void on_peer_severed(ControllerAddr peer);
-  // Receiver-side idempotency (lossy fabric only): replays the cached reply for a peer
-  // request that was already executed, so request resends never double-execute.
-  bool replay_completed_peer_op(ControllerAddr origin, uint64_t key);
-  void cache_completed_peer_op(uint64_t key, const PeerReplyMsg& reply);
-  static uint64_t peer_op_key(ControllerAddr origin, uint64_t op_id) {
-    return (static_cast<uint64_t>(origin) << 48) ^ op_id;
-  }
-  // Completes every pending peer op with the given status and empties the map.
-  void fail_pending_ops(ErrorCode status);
   // The memory_copy data path.
   void do_copy(ProcState& p, uint64_t seq, const CapEntry& src, const CapEntry& dst);
   void bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, uint64_t total,
                            std::function<void(Status)> done);
-  // Charges additional compute, then runs `fn`.
-  void charge(Duration cost, std::function<void()> fn);
-  // Called from inside a charge() callback that just paid `cost` of capability/request
+  // Called from inside an exec_->run() callback that just paid `cost` of capability/request
   // translation: counts it and records the kTranslation span retroactively (the execution
   // window [now - cost/speed, now] has just elapsed on exec_).
   void note_translation(Duration cost);
@@ -377,8 +328,6 @@ class Controller {
   // a translation-cache hit (or when the feature is off), (chain_depth - 1) *
   // request_traversal on a miss.
   Duration translation_extra_cost(ObjectIndex idx) const;
-  // Closes the peer-op span registered for op_id, if any (error != nullptr marks it failed).
-  void close_peer_op_span(uint64_t op_id, const char* error);
 
   // --- replication plumbing (all no-ops / identity when no group is armed) ---
   friend class ReplicationGroup;
@@ -419,24 +368,8 @@ class Controller {
   Peer* find_peer(ControllerAddr peer);
   std::unordered_map<ControllerAddr, Peer> peers_;
   PeerConnector peer_connector_;
-  std::unordered_map<uint64_t, Promise<Result<PeerReplyMsg>>> pending_ops_;
-  std::unordered_map<uint64_t, ControllerAddr> pending_op_peer_;
-  // Open peer-op spans by op id (populated only while a SpanTracer is alive); a timed-out or
-  // severed op closes its span with an error attribute instead of leaking it open.
-  std::unordered_map<uint64_t, uint64_t> pending_op_spans_;
-  // Completed-peer-op reply cache for dedup (populated only on a lossy fabric). The FIFO
-  // carries insertion times: entries are evicted when older than peer_op_dedup_ttl (the
-  // deterministic, simulated-time bound) and the cap is the hard backstop.
-  std::unordered_map<uint64_t, PeerReplyMsg> completed_peer_ops_;
-  std::deque<std::pair<uint64_t, Time>> completed_peer_ops_fifo_;
   // Owner-side translation cache (see translation_cache.h); capacity from Config.
   TranslationCache tcache_;
-  // Per-peer outgoing RemoteDerive batcher (active only when peer_op_batch_max > 0).
-  struct PendingBatch {
-    std::vector<RemoteDeriveMsg> ops;
-    bool flush_scheduled = false;
-  };
-  std::unordered_map<ControllerAddr, PendingBatch> pending_batches_;
   std::unordered_map<uint64_t, ProcessId> pending_invokes_;
   // Two-phase revocation cleanup: invalidated objects are erased only after every peer has
   // acknowledged the broadcast (the distributed-GC "cleanup step" of Section 3.5).
@@ -463,28 +396,25 @@ class Controller {
   uint64_t deliveries_queued_ = 0;
   bool failed_ = false;
   ControllerStats stats_;
-  std::string name_;           // "ctrl-<addr>", for trace lines
-  NameId name_id_ = kInvalidNameId;  // interned name_, the span actor
+  NameId name_id_ = kInvalidNameId;  // "ctrl-<addr>", the span actor
   // Pre-interned metric keys (ctrl.<addr>.*) so hot paths neither concatenate nor look up
   // strings.
   struct MetricKeys {
     NameId syscalls = kInvalidNameId;
     NameId deliveries = kInvalidNameId;
     NameId translations = kInvalidNameId;
-    NameId peer_retries = kInvalidNameId;
-    NameId peer_op_timeouts = kInvalidNameId;
-    NameId peer_dedup_hits = kInvalidNameId;
-    NameId late_reply = kInvalidNameId;  // mirrors stats_.late_replies_ignored exactly
     // cap.<addr>.* hot-path keys — touched only when the owning feature is enabled, so the
     // default-config metrics snapshots stay bit-identical.
     NameId cap_cache_hit = kInvalidNameId;       // translation-cache hits (counter)
     NameId cap_cache_miss = kInvalidNameId;      // translation-cache misses (counter)
     NameId cap_revoke_subtree = kInvalidNameId;  // invalidated-subtree sizes (histogram)
-    NameId cap_batch_occupancy = kInvalidNameId; // ops per flushed batch (histogram)
     // Admission gate — touched only for processes with a nonzero limit.
     NameId admission_admitted = kInvalidNameId;
     NameId admission_shed = kInvalidNameId;
   } mkeys_;
+  // Peer-op reliability. Declared last so it is destroyed first: ops still pending at
+  // teardown complete with kChannelClosed while their continuations' state is alive.
+  PeerRpc rpc_;
 };
 
 }  // namespace fractos

@@ -260,7 +260,6 @@ void EventLoop::enable_sharding(uint32_t num_shards, uint32_t num_racks, Duratio
   // Only a pristine loop may be sharded: already-issued legacy seqs would not interleave
   // deterministically with rack-namespaced ones.
   FRACTOS_CHECK(shard0_->pending == 0 && shard0_->steps == 0 && next_seq_ == 0);
-  FRACTOS_CHECK(tracer_ == nullptr);       // TraceFn tracing is single-thread-only
   FRACTOS_CHECK(span_tracer_ == nullptr);  // use set_rack_span_tracer instead
   FRACTOS_CHECK(metrics_ == nullptr);      // use set_rack_metrics instead
   sharded_ = true;
@@ -339,7 +338,6 @@ void EventLoop::advance_window(uint32_t num_shards) {
 uint64_t EventLoop::run_parallel() {
   FRACTOS_CHECK(sharded_);
   FRACTOS_CHECK(!parallel_active_);
-  FRACTOS_CHECK(tracer_ == nullptr);
   const uint64_t start_steps = steps();
   const uint32_t S = static_cast<uint32_t>(shards_.size());
   if (S == 1) {

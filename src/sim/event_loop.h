@@ -37,7 +37,6 @@
 #include "src/sim/inline_fn.h"
 #include "src/sim/span.h"
 #include "src/sim/time.h"
-#include "src/sim/trace.h"
 
 namespace fractos {
 
@@ -186,18 +185,6 @@ class EventLoop {
   // from inside a window.
   bool parallel_active() const { return parallel_active_; }
 
-  // --- tracing (see src/sim/trace.h) ---
-  void set_tracer(TraceFn tracer) {
-    FRACTOS_CHECK(!sharded_ || tracer == nullptr);  // TraceFn sinks are single-thread-only
-    tracer_ = std::move(tracer);
-  }
-  bool tracing() const { return tracer_ != nullptr; }
-  void trace(std::string_view actor, std::string_view event) {
-    if (tracer_ != nullptr) {
-      tracer_(now(), actor, event);
-    }
-  }
-
   // --- structured spans & metrics (see src/sim/span.h, src/sim/metrics.h) ---
   //
   // While any SpanTracer is alive, every scheduled Event captures the ambient SpanContext
@@ -344,7 +331,6 @@ class EventLoop {
   std::vector<std::vector<Event>> mail_;
   uint64_t mailbox_hwm_ = 0;
 
-  TraceFn tracer_;
   SpanTracer* span_tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   uint64_t next_seq_ = 0;  // legacy (unsharded) global sequence counter

@@ -1,9 +1,12 @@
-// Tests for the tracing facility and the Controller operation counters.
+// Tests for Controller span tracing and the Controller operation counters.
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "src/core/system.h"
-#include "src/sim/trace.h"
+#include "src/sim/span.h"
 
 namespace fractos {
 namespace {
@@ -25,56 +28,83 @@ class TraceStatsTest : public ::testing::Test {
   Process *a_ = nullptr, *b_ = nullptr;
 };
 
+// Spans recorded by `actor` with the given kind and name.
+std::vector<const Span*> spans_of(const SpanTracer& tracer, std::string_view actor,
+                                  SpanKind kind, std::string_view name) {
+  std::vector<const Span*> out;
+  for (const Span& s : tracer.spans()) {
+    if (s.actor() == actor && s.kind == kind && s.name() == name) {
+      out.push_back(&s);
+    }
+  }
+  return out;
+}
+
 TEST_F(TraceStatsTest, TracerSeesTheLifeOfAnRpc) {
-  TraceRecorder rec;
-  sys_.loop().set_tracer(rec.fn());
+  SpanTracer tracer;
+  sys_.loop().set_span_tracer(&tracer);
+  const uint64_t root = tracer.start_trace("test", "rpc", sys_.loop().now());
+  {
+    SpanScope scope(tracer.context_of(root));
+    int handled = 0;
+    const CapId ep = sys_.await_ok(b_->serve({}, [&](Process::Received) { ++handled; }));
+    const CapId ep_a = sys_.bootstrap_grant(*b_, ep, *a_).value();
+    ASSERT_TRUE(sys_.await(a_->request_invoke(ep_a)).ok());
+    sys_.loop().run();
+    EXPECT_EQ(handled, 1);
+  }
+  tracer.end(root, sys_.loop().now());
+  sys_.loop().set_span_tracer(nullptr);
 
-  int handled = 0;
-  const CapId ep = sys_.await_ok(b_->serve({}, [&](Process::Received) { ++handled; }));
-  const CapId ep_a = sys_.bootstrap_grant(*b_, ep, *a_).value();
-  ASSERT_TRUE(sys_.await(a_->request_invoke(ep_a)).ok());
-  sys_.loop().run();
-  EXPECT_EQ(handled, 1);
-
-  // Exact-match assertions pin the complete event text: a wording change (or an event that
-  // merely shares a prefix) fails loudly instead of slipping past a substring check.
-  EXPECT_TRUE(rec.contains_exact("syscall RequestCreate from pid 2", "ctrl-2"));
-  EXPECT_TRUE(rec.contains_exact("syscall RequestInvoke from pid 1"));
-  // The invocation crosses from ctrl-1 (a's controller) to ctrl-2, which delivers it; the
-  // actor filter pins each event to the controller that must have emitted it.
-  EXPECT_TRUE(rec.contains_exact("syscall RequestInvoke from pid 1", "ctrl-1"));
-  EXPECT_TRUE(rec.contains_exact("deliver request to pid 2 (0 caps)", "ctrl-2"));
-  EXPECT_FALSE(rec.contains_exact("deliver request to pid 2 (0 caps)", "ctrl-1"));
-  EXPECT_EQ(rec.count_exact("deliver request to pid 2 (0 caps)"),
-            rec.count_exact("deliver request to pid 2 (0 caps)", "ctrl-2"));
-  // Substring matching still works for prefix queries, but never claims an exact event.
-  EXPECT_TRUE(rec.contains("deliver request"));
-  EXPECT_FALSE(rec.contains_exact("deliver request"));
-  // Events are time-ordered.
-  for (size_t i = 1; i < rec.entries.size(); ++i) {
-    EXPECT_LE(rec.entries[i - 1].when.ns(), rec.entries[i].when.ns());
+  const auto ctl = SpanKind::kController;
+  // b's endpoint is created at b's controller (ctrl-2).
+  EXPECT_EQ(spans_of(tracer, "ctrl-2", ctl, "RequestCreate").size(), 1u);
+  EXPECT_TRUE(spans_of(tracer, "ctrl-1", ctl, "RequestCreate").empty());
+  // The invocation is a syscall at a's controller (ctrl-1), which forwards it to ctrl-2;
+  // ctrl-2 delivers it to b.
+  const auto invoke = spans_of(tracer, "ctrl-1", ctl, "RequestInvoke");
+  const auto remote = spans_of(tracer, "ctrl-2", ctl, "peer-RemoteInvoke");
+  ASSERT_EQ(invoke.size(), 1u);
+  ASSERT_EQ(remote.size(), 1u);
+  EXPECT_TRUE(spans_of(tracer, "ctrl-2", ctl, "RequestInvoke").empty());
+  EXPECT_TRUE(spans_of(tracer, "ctrl-1", ctl, "peer-RemoteInvoke").empty());
+  EXPECT_LT(invoke[0]->t_start.ns(), remote[0]->t_start.ns());
+  EXPECT_EQ(c1_->stats().deliveries, 1u);
+  EXPECT_EQ(c0_->stats().deliveries, 0u);
+  // Every span is closed and well-formed.
+  for (const Span& s : tracer.spans()) {
+    EXPECT_FALSE(s.open);
+    EXPECT_LE(s.t_start.ns(), s.t_end.ns());
   }
 }
 
 TEST_F(TraceStatsTest, TracerSeesRevocationAndFailure) {
-  TraceRecorder rec;
-  sys_.loop().set_tracer(rec.fn());
-  const CapId mem = sys_.await_ok(a_->memory_create(a_->alloc(64), 64, Perms::kRead));
-  ASSERT_TRUE(sys_.await(a_->cap_revoke(mem)).ok());
-  sys_.loop().run();
-  // The revocation runs at the owner (ctrl-1); the failure translation at b's controller.
-  EXPECT_TRUE(rec.contains_exact("revoked 1 object(s), 0 monitor fire(s)", "ctrl-1"));
-  EXPECT_FALSE(rec.contains_exact("revoked 1 object(s), 0 monitor fire(s)", "ctrl-2"));
+  SpanTracer tracer;
+  sys_.loop().set_span_tracer(&tracer);
+  const uint64_t root = tracer.start_trace("test", "revoke", sys_.loop().now());
+  {
+    SpanScope scope(tracer.context_of(root));
+    const CapId mem = sys_.await_ok(a_->memory_create(a_->alloc(64), 64, Perms::kRead));
+    ASSERT_TRUE(sys_.await(a_->cap_revoke(mem)).ok());
+    sys_.loop().run();
+  }
+  tracer.end(root, sys_.loop().now());
+  sys_.loop().set_span_tracer(nullptr);
+  // The revocation runs at the owner (ctrl-1), whose cleanup broadcast ctrl-2 acknowledges.
+  const auto ctl = SpanKind::kController;
+  EXPECT_EQ(spans_of(tracer, "ctrl-1", ctl, "CapRevoke").size(), 1u);
+  EXPECT_TRUE(spans_of(tracer, "ctrl-2", ctl, "CapRevoke").empty());
+  EXPECT_EQ(spans_of(tracer, "ctrl-2", ctl, "peer-RevokeBroadcast").size(), 1u);
+  EXPECT_TRUE(spans_of(tracer, "ctrl-1", ctl, "peer-RevokeBroadcast").empty());
+  EXPECT_EQ(spans_of(tracer, "ctrl-1", ctl, "peer-RevokeAck").size(), 1u);
+  EXPECT_EQ(c0_->stats().revocations, 1u);
+  EXPECT_EQ(c1_->stats().revocations, 0u);
 
+  // Failure translation records no span: it shows in b's controller's counters only.
   sys_.fail_process(*b_);
   sys_.loop().run();
-  EXPECT_TRUE(rec.contains_exact("process 2 failed; translating to revocations", "ctrl-2"));
-  EXPECT_FALSE(rec.contains_exact("process 2 failed; translating to revocations", "ctrl-1"));
-}
-
-TEST_F(TraceStatsTest, TracingDisabledByDefaultAndCostsNothing) {
-  EXPECT_FALSE(sys_.loop().tracing());
-  sys_.await(a_->null_op());  // no crash, nothing to observe
+  EXPECT_EQ(c1_->stats().process_failures, 1u);
+  EXPECT_EQ(c0_->stats().process_failures, 0u);
 }
 
 TEST_F(TraceStatsTest, StatsCountTheRightOperations) {

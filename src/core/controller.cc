@@ -27,15 +27,13 @@ Controller::Controller(Network* net, Config config)
     : net_(net), config_(config), table_(config.addr),
       tcache_(config.translation_cache_entries),
       rpc_(net->loop(), config.addr, config, &stats_, &next_seq_,
-           [this](ControllerAddr peer, const Envelope* env, const Payload* frame) {
+           [this](ControllerAddr peer, const Payload* frame) {
              Peer* p = failed_ ? nullptr : find_peer(peer);
              if (p == nullptr || p->chan->severed()) {
                return false;
              }
-             if (env != nullptr) {
-               p->chan->send(Traffic::kControl, *env);
-             } else if (frame != nullptr) {
-               p->chan->send_encoded(Traffic::kControl, *frame);
+             if (frame != nullptr) {
+               p->chan->send(Traffic::kControl, *frame);
              }
              return true;
            },
@@ -1541,12 +1539,12 @@ Controller::Peer* Controller::find_peer(ControllerAddr peer) {
   return &it->second;
 }
 
-void Controller::send_peer(ControllerAddr peer, const Envelope& env, Traffic cat) {
+void Controller::send_peer(ControllerAddr peer, Envelope env, Traffic cat) {
   Peer* p = find_peer(peer);
   if (p == nullptr || p->chan->severed()) {
     return;  // peer unreachable; stale capabilities will surface at use
   }
-  p->chan->send(cat, env);
+  p->chan->send(cat, std::move(env));
 }
 
 // --- failure handling -----------------------------------------------------------------------------

@@ -312,7 +312,7 @@ class Controller {
     apply_revoke_for(addr(), result);
   }
   void dispatch_monitor_fire(const ObjectTable::MonitorFire& fire);
-  void send_peer(ControllerAddr peer, const Envelope& env, Traffic cat = Traffic::kControl);
+  void send_peer(ControllerAddr peer, Envelope env, Traffic cat = Traffic::kControl);
   // The memory_copy data path.
   void do_copy(ProcState& p, uint64_t seq, const CapEntry& src, const CapEntry& dst);
   void bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, uint64_t total,

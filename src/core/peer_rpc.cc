@@ -40,7 +40,7 @@ Future<PeerRpc::Reply> PeerRpc::issue(ControllerAddr peer, uint64_t op_id,
                                       Transmit&& transmit) {
   Promise<Reply> promise;
   Future<Reply> inner = promise.future();
-  if (!send_(peer, nullptr, nullptr)) {
+  if (!send_(peer, nullptr)) {
     promise.set(ErrorCode::kChannelClosed);
     return inner;
   }
@@ -66,14 +66,8 @@ Future<PeerRpc::Reply> PeerRpc::issue(ControllerAddr peer, uint64_t op_id,
 
 Future<PeerRpc::Reply> PeerRpc::call(ControllerAddr peer, Envelope env) {
   const uint64_t op_id = env.seq;
-  return issue(peer, op_id, [&]() {
-    send_(peer, &env, nullptr);
-    if (lossy_()) {
-      // Resends carry the frame pre-encoded: one serialization per op, shared by every
-      // retransmission (the Payload copy is a refcount bump).
-      schedule_resend(peer, {op_id}, Channel::encode(env), 1);
-    }
-  });
+  return issue(peer, op_id,
+               [&]() { send_frame(peer, {op_id}, Channel::frame(std::move(env))); });
 }
 
 Future<PeerRpc::Reply> PeerRpc::call_derive(ControllerAddr peer, RemoteDeriveMsg rd) {
@@ -103,7 +97,7 @@ void PeerRpc::flush(ControllerAddr peer) {
   // Drop members that already completed (severed peer, deadline or crash before the flush).
   std::erase_if(batch.ops,
                 [this](const RemoteDeriveMsg& op) { return !pending_.contains(op.op_id); });
-  if (batch.ops.empty() || !send_(peer, nullptr, nullptr)) {
+  if (batch.ops.empty() || !send_(peer, nullptr)) {
     return;
   }
   if (MetricsRegistry* m = loop_->metrics()) {
@@ -116,10 +110,15 @@ void PeerRpc::flush(ControllerAddr peer) {
   }
   RemoteDeriveBatchMsg msg;
   msg.ops = std::move(batch.ops);
-  const Envelope env = make_envelope((*next_seq_)++, std::move(msg));
-  send_(peer, &env, nullptr);
+  send_frame(peer, std::move(op_ids),
+             Channel::frame(make_envelope((*next_seq_)++, std::move(msg))));
+}
+
+void PeerRpc::send_frame(ControllerAddr peer, std::vector<uint64_t> op_ids, Payload frame) {
+  send_(peer, &frame);
   if (lossy_()) {
-    schedule_resend(peer, std::move(op_ids), Channel::encode(env), 1);
+    // Every resend carries this same frame (the Payload copy is a refcount bump).
+    schedule_resend(peer, std::move(op_ids), std::move(frame), 1);
   }
 }
 
@@ -141,7 +140,7 @@ void PeerRpc::schedule_resend(ControllerAddr peer, std::vector<uint64_t> op_ids,
     }
     ++stats_->peer_retries;
     bump(keys_.retries);
-    send_(peer, nullptr, &frame);
+    send_(peer, &frame);
     schedule_resend(peer, std::move(op_ids), std::move(frame), attempt + 1);
   });
 }

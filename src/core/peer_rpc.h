@@ -12,7 +12,8 @@
 // out after peer_op_dedup_ttl and the cache never exceeds kCompletedPeerOpCacheCap).
 //
 // PeerRpc owns no channels. It reaches the wire through one send hook, so a test can drive
-// it over a fake lossy link (tests/peer_rpc_test.cc).
+// it over a fake lossy link (tests/peer_rpc_test.cc). Each op or batch is framed once; the
+// first send and every resend share that frame.
 
 #ifndef SRC_CORE_PEER_RPC_H_
 #define SRC_CORE_PEER_RPC_H_
@@ -60,11 +61,9 @@ class PeerRpc {
   // Bound on the completed-peer-op reply cache.
   static constexpr size_t kCompletedPeerOpCacheCap = 4096;
 
-  // The wire hook: sends `env`, or for a resend the pre-encoded `frame`, to `peer`, and
-  // returns whether `peer` is reachable. Nothing is sent when it is not; a call with
-  // neither frame only asks.
-  using SendFn =
-      std::function<bool(ControllerAddr peer, const Envelope* env, const Payload* frame)>;
+  // The wire hook: sends `frame` (a Channel::frame) to `peer` and returns whether `peer` is
+  // reachable. Nothing is sent when it is not; a null `frame` only asks.
+  using SendFn = std::function<bool(ControllerAddr peer, const Payload* frame)>;
 
   // `self` names the metric keys (ctrl.<self>.*, cap.<self>.batch_occupancy) and the span
   // actor (ctrl-<self>). The reliability counters land in `stats`; batch frames take their
@@ -121,6 +120,8 @@ class PeerRpc {
   template <typename Transmit>
   Future<Reply> issue(ControllerAddr peer, uint64_t op_id, Transmit&& transmit);
   void flush(ControllerAddr peer);
+  // Sends the request `frame` carrying `op_ids` and, on a lossy fabric, arms its resends.
+  void send_frame(ControllerAddr peer, std::vector<uint64_t> op_ids, Payload frame);
   // Resends `frame` with backoff while any of `op_ids` is pending; a single op is a list of
   // one.
   void schedule_resend(ControllerAddr peer, std::vector<uint64_t> op_ids, Payload frame,

@@ -79,8 +79,9 @@ uint64_t Process::send_syscall(Envelope env) {
       }
     }
   }
-  chan_.send(Traffic::kControl, env);
-  return env.seq;
+  const uint64_t seq = env.seq;
+  chan_.send(Traffic::kControl, std::move(env));
+  return seq;
 }
 
 Future<Result<CapId>> Process::cap_syscall(Envelope env) {

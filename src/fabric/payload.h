@@ -1,5 +1,4 @@
-// Payload: an immutable, refcounted byte buffer — the unit of bulk data on the simulated
-// fabric.
+// Payload: an immutable, refcounted frame — the unit the simulated fabric carries.
 //
 // Before this type existed, every hop owned its bytes: Network::send copied the vector into
 // the delivery closure, a duplicated message copied it again, every QueuePair retransmit
@@ -16,6 +15,12 @@
 // payload crossed a rack boundary. Uncontended atomic RMWs are a few cycles; measured noise
 // on bench_simspeed's soaks.
 //
+// A payload is either bytes or a typed object with a declared wire size (Payload::of). The
+// fabric reads only size(), so a control message can travel as the object itself, charged
+// its exact encoded size, and is never serialized: the receiver takes the object back out
+// (take), moving it when no other handle — a retransmit buffer, a duplicated delivery —
+// still shares the frame.
+//
 // `std::vector<uint8_t>` converts implicitly, so existing call sites that build a vector
 // (or a braced list) keep compiling; they now pay one adoption instead of N copies.
 
@@ -29,6 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/assert.h"
+
 namespace fractos {
 
 class Payload {
@@ -38,13 +45,22 @@ class Payload {
   // Adopts `bytes` (no copy). Implicit so vector-producing call sites — Encoder::take(),
   // braced literals in tests — convert without ceremony.
   Payload(std::vector<uint8_t> bytes)  // NOLINT(google-explicit-constructor)
-      : rep_(new Rep{1, std::move(bytes)}) {}
+      : rep_(new BytesRep(std::move(bytes))) {}
 
   // Braced literals (`send(..., {1, 2, 3}, ...)`) — mostly tests and fixtures.
   Payload(std::initializer_list<uint8_t> bytes) : Payload(std::vector<uint8_t>(bytes)) {}
 
   // A zero-filled payload of `n` bytes (wire padding, ACK frames).
   static Payload zeros(size_t n) { return Payload(std::vector<uint8_t>(n)); }
+
+  // A typed frame: `object` and its wire size in one allocation. size() is `wire_size`;
+  // there are no bytes.
+  template <typename T>
+  static Payload of(T object, size_t wire_size) {
+    Payload p;
+    p.rep_ = new TypedRep<T>(std::move(object), wire_size);
+    return p;
+  }
 
   Payload(const Payload& other) : rep_(other.rep_) {
     if (rep_ != nullptr) {
@@ -65,26 +81,68 @@ class Payload {
   }
   ~Payload() { unref(); }
 
-  const uint8_t* data() const { return rep_ != nullptr ? rep_->bytes.data() : nullptr; }
-  size_t size() const { return rep_ != nullptr ? rep_->bytes.size() : 0; }
+  // Bytes charged to the wire: the byte count, or a typed frame's declared size.
+  size_t size() const { return rep_ != nullptr ? rep_->size : 0; }
   bool empty() const { return size() == 0; }
 
+  const uint8_t* data() const { return bytes().data(); }
+
   // The underlying bytes as a vector reference — what Decoder and decode_envelope consume.
-  // Valid for the lifetime of any Payload sharing this Rep.
+  // Valid for the lifetime of any Payload sharing this Rep. A typed frame has none.
   const std::vector<uint8_t>& bytes() const {
     static const std::vector<uint8_t> kEmpty;
-    return rep_ != nullptr ? rep_->bytes : kEmpty;
+    FRACTOS_CHECK_MSG(rep_ == nullptr || rep_->type == nullptr, "bytes() of a typed frame");
+    return rep_ != nullptr ? static_cast<const BytesRep*>(rep_)->bytes : kEmpty;
   }
 
   // Materializes an owned copy of the bytes — for the rare consumer that must mutate
   // (e.g. copying into a simulated memory pool is memcpy from data(), not this).
   std::vector<uint8_t> to_vector() const { return bytes(); }
 
+  // The typed object, or nullptr when this is a byte payload or holds another type.
+  template <typename T>
+  const T* get() const {
+    return rep_ != nullptr && rep_->type == &kTypeTag<T>
+               ? &static_cast<const TypedRep<T>*>(rep_)->object
+               : nullptr;
+  }
+
+  // Consumes this handle and returns the typed object: moved out when this was the only
+  // handle on the frame, copied when another (a retransmit buffer, a duplicated delivery)
+  // still shares it. The frame must hold a T.
+  template <typename T>
+  T take() && {
+    FRACTOS_CHECK(get<T>() != nullptr);
+    auto* rep = static_cast<TypedRep<T>*>(rep_);
+    // Only this handle can reach the rep when refs is 1, so nothing can start sharing it
+    // while the object moves out; the acquire pairs with the release of the last other
+    // handle, which may have lived on another shard thread.
+    T out = rep->refs.load(std::memory_order_acquire) == 1 ? std::move(rep->object)
+                                                          : rep->object;
+    unref();
+    return out;
+  }
+
  private:
   struct Rep {
-    std::atomic<size_t> refs;
+    Rep(size_t n, const void* t) : size(n), type(t) {}
+    virtual ~Rep() = default;
+    std::atomic<size_t> refs{1};
+    const size_t size;
+    const void* const type;  // &kTypeTag<T> for a TypedRep<T>, nullptr for bytes
+  };
+  struct BytesRep final : Rep {
+    explicit BytesRep(std::vector<uint8_t> b) : Rep(b.size(), nullptr), bytes(std::move(b)) {}
     std::vector<uint8_t> bytes;
   };
+  template <typename T>
+  struct TypedRep final : Rep {
+    TypedRep(T o, size_t n) : Rep(n, &kTypeTag<T>), object(std::move(o)) {}
+    T object;
+  };
+  // One address per type: a type tag without RTTI.
+  template <typename T>
+  static constexpr char kTypeTag = 0;
 
   void unref() {
     if (rep_ != nullptr && rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {

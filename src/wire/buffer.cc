@@ -4,15 +4,21 @@ namespace fractos {
 
 void Encoder::put_bytes(const std::vector<uint8_t>& bytes) {
   put_u32(static_cast<uint32_t>(bytes.size()));
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  put_raw(bytes.data(), bytes.size());
 }
 
 void Encoder::put_string(const std::string& s) {
   put_u32(static_cast<uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  put_raw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
-void Encoder::put_raw(const uint8_t* data, size_t len) { buf_.insert(buf_.end(), data, data + len); }
+void Encoder::put_raw(const uint8_t* data, size_t len) {
+  if (counting_) {
+    counted_ += len;
+    return;
+  }
+  buf_.insert(buf_.end(), data, data + len);
+}
 
 std::vector<uint8_t> Decoder::get_bytes() {
   const uint32_t n = get_u32();

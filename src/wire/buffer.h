@@ -18,7 +18,18 @@ namespace fractos {
 
 class Encoder {
  public:
-  void put_u8(uint8_t v) { buf_.push_back(v); }
+  // A counting encoder: every put adds its width to size() and stores nothing, so running
+  // the same field codecs through it measures a message's encoded size without serializing
+  // it (encoded_size in src/wire/message.h).
+  static Encoder counter() {
+    Encoder e;
+    e.counting_ = true;
+    return e;
+  }
+
+  void reserve(size_t n) { buf_.reserve(n); }
+
+  void put_u8(uint8_t v) { put_le(v); }
   void put_u16(uint16_t v) { put_le(v); }
   void put_u32(uint32_t v) { put_le(v); }
   void put_u64(uint64_t v) { put_le(v); }
@@ -33,17 +44,25 @@ class Encoder {
 
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
+  size_t size() const { return counting_ ? counted_ : buf_.size(); }
 
  private:
   template <typename T>
   void put_le(T v) {
+    if (counting_) {
+      counted_ += sizeof(T);
+      return;
+    }
+    const size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
     for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      buf_[at + i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
 
   std::vector<uint8_t> buf_;
+  bool counting_ = false;
+  size_t counted_ = 0;
 };
 
 class Decoder {

@@ -402,12 +402,25 @@ NameId msg_type_span_name(MsgType t) {
   return id;
 }
 
-std::vector<uint8_t> encode_envelope(const Envelope& env) {
-  Encoder e;
+namespace {
+void encode_into(Encoder& e, const Envelope& env) {
   e.put_u8(static_cast<uint8_t>(env.type));
   e.put_u64(env.seq);
   std::visit(BodyEncoder{e}, env.body);
+}
+}  // namespace
+
+std::vector<uint8_t> encode_envelope(const Envelope& env) {
+  Encoder e;
+  e.reserve(encoded_size(env));
+  encode_into(e, env);
   return e.take();
+}
+
+size_t encoded_size(const Envelope& env) {
+  Encoder e = Encoder::counter();
+  encode_into(e, env);
+  return e.size();
 }
 
 Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf) {
@@ -703,7 +716,7 @@ Envelope make_envelope(uint64_t seq, RequestCreateMsg m) {
   return envelope_of(seq, MsgType::kRequestCreate, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RequestInvokeMsg m) {
-  return envelope_of(seq, MsgType::kRequestInvoke, m);
+  return envelope_of(seq, MsgType::kRequestInvoke, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, CapCreateRevtreeMsg m) {
   return envelope_of(seq, MsgType::kCapCreateRevtree, m);

@@ -10,8 +10,9 @@
 //      piggybacked), revocation broadcasts (the prototype's cleanup algorithm), and monitor
 //      subscriptions/firings.
 //
-// Every message is encoded with src/wire/buffer.h before entering a channel; the encoded size
-// is the number of bytes charged to the simulated network.
+// A channel carries each message as a typed Envelope; the fabric charges it encoded_size(env)
+// bytes, the exact length of its encoding (src/wire/buffer.h). Bytes are only produced where
+// something reads them: the raw-injection path of src/core/channel.h, tests and probes.
 
 #ifndef SRC_WIRE_MESSAGE_H_
 #define SRC_WIRE_MESSAGE_H_
@@ -428,10 +429,15 @@ struct Envelope {
   MsgType type = MsgType::kNullOp;
   uint64_t seq = 0;
   MsgBody body;
+  bool operator==(const Envelope&) const = default;
 };
 
-// Serializes an envelope; the result's size() is what the fabric charges to the wire.
+// Serializes an envelope.
 std::vector<uint8_t> encode_envelope(const Envelope& env);
+
+// encode_envelope(env).size(), computed by running the same encoder in counting mode: the
+// number of bytes the fabric charges for `env`.
+size_t encoded_size(const Envelope& env);
 
 // Parses an envelope; fails (kInvalidArgument) on truncated or malformed input.
 Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf);

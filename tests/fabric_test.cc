@@ -221,6 +221,32 @@ TEST_F(FabricTest, RdmaToFailedNodeFails) {
   EXPECT_EQ(got.error(), ErrorCode::kChannelClosed);
 }
 
+// Counts its copies, so a test can tell a move from a copy.
+struct CopyCounted {
+  CopyCounted(std::vector<int> v, int* copies) : values(std::move(v)), copies(copies) {}
+  CopyCounted(const CopyCounted& o) : values(o.values), copies(o.copies) { ++*copies; }
+  CopyCounted(CopyCounted&&) = default;
+  std::vector<int> values;
+  int* copies;
+};
+
+TEST(PayloadTest, TypedFrameIsMovedOutOnlyByItsLastHandle) {
+  int copies = 0;
+  Payload frame = Payload::of(CopyCounted({1, 2, 3}, &copies), 42);
+  EXPECT_EQ(frame.size(), 42u);  // the declared wire size, not sizeof the object
+  EXPECT_EQ(frame.get<int>(), nullptr);
+  ASSERT_NE(frame.get<CopyCounted>(), nullptr);
+  EXPECT_EQ(copies, 0);
+
+  Payload shared = frame;  // e.g. a retransmit entry
+  const CopyCounted first = std::move(frame).take<CopyCounted>();
+  EXPECT_EQ(copies, 1);  // another handle holds the frame: copied
+  EXPECT_EQ(shared.get<CopyCounted>()->values, (std::vector<int>{1, 2, 3}));
+  const CopyCounted last = std::move(shared).take<CopyCounted>();
+  EXPECT_EQ(copies, 1);  // the only handle: moved
+  EXPECT_EQ(first.values, last.values);
+}
+
 class QueuePairTest : public FabricTest {};
 
 TEST_F(QueuePairTest, BidirectionalOrderedDelivery) {

@@ -34,12 +34,10 @@ class Harness {
   explicit Harness(PeerRpc::Config config, bool lossy = true, uint64_t seed = 1)
       : rng_(seed), lossy_(lossy),
         caller_(&loop_, kCaller, config, &caller_stats_, &caller_seq_,
-                [this](ControllerAddr peer, const Envelope* env, const Payload* frame) {
-                  return send(peer, env, frame);
-                },
+                [this](ControllerAddr peer, const Payload* frame) { return send(peer, frame); },
                 [this]() { return lossy_; }),
         owner_(&loop_, kOwner, config, &owner_stats_, &owner_seq_,
-               [](ControllerAddr, const Envelope*, const Payload*) { return false; },
+               [](ControllerAddr, const Payload*) { return false; },
                [this]() { return lossy_; }) {}
 
   // Fault knobs: per-frame drop and duplicate probabilities, and a uniform extra delay in
@@ -70,7 +68,8 @@ class Harness {
   // Delivers a reply to the caller as if it came off the wire.
   void reply(uint64_t op_id) { on_reply(PeerReplyMsg{op_id, ErrorCode::kOk, {}}); }
 
-  std::vector<Envelope> sent;         // every request frame handed to the link
+  std::vector<Payload> frames;        // every request frame handed to the link
+  std::vector<Envelope> sent;         // the envelope each of those frames carries
   std::map<uint64_t, int> executed;   // owner-side executions per op id
   std::map<uint64_t, int> completed;  // caller-side completions per op id
   std::map<uint64_t, ErrorCode> outcome;
@@ -89,14 +88,20 @@ class Harness {
     });
   }
 
-  bool send(ControllerAddr peer, const Envelope* env, const Payload* frame) {
+  bool send(ControllerAddr peer, const Payload* frame) {
     if (down.contains(peer)) {
       return false;
     }
-    if (env == nullptr && frame == nullptr) {
+    if (frame == nullptr) {
       return true;
     }
-    const Envelope e = env != nullptr ? *env : decode_envelope(frame->bytes()).value();
+    const Envelope* env = frame->get<Envelope>();
+    EXPECT_NE(env, nullptr) << "the send hook got a frame that is not a typed Envelope";
+    if (env == nullptr) {
+      return true;
+    }
+    const Envelope e = *env;
+    frames.push_back(*frame);
     sent.push_back(e);
     carry([this, e]() { on_request(e); });
     return true;
@@ -260,6 +265,8 @@ TEST(PeerRpcTest, BatchFrameIsResentWhileAnyMemberIsPending) {
   ASSERT_EQ(h.sent.size(), 2u);
   EXPECT_EQ(h.sent[1].type, MsgType::kRemoteDeriveBatch);
   EXPECT_EQ(h.sent[1].seq, h.sent[0].seq);
+  // The resend is the very frame of the first send, not a rebuilt copy.
+  EXPECT_EQ(h.frames[1].get<Envelope>(), h.frames[0].get<Envelope>());
   EXPECT_EQ(h.caller_stats().peer_retries, 1u);
 
   h.reply(b);  // nothing pending: no further resend
@@ -352,7 +359,7 @@ TEST(PeerRpcTest, DestructionCompletesEveryPendingOp) {
     PeerRpc::Config cfg;
     cfg.peer_op_batch_max = 4;
     PeerRpc rpc(&loop, kCaller, cfg, &stats, &seq,
-                [](ControllerAddr, const Envelope*, const Payload*) { return true; },
+                [](ControllerAddr, const Payload*) { return true; },
                 []() { return true; });
     RemoteDeriveMsg rd;
     rd.op_id = 1;

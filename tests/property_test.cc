@@ -6,16 +6,19 @@
 //    derivation path has been revoked (checked against a reference set);
 //  * random scatter/gather memory_copy plans: final buffer contents equal a reference
 //    byte-array simulation;
-//  * wire fuzz: randomly generated well-formed envelopes always round-trip bit-exactly.
+//  * wire fuzz: randomly generated well-formed envelopes of every message type round-trip
+//    bit-exactly, and encoded_size equals the length of their encoding.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <memory>
 
 #include "src/core/system.h"
 #include "src/sim/rng.h"
 #include "src/wire/message.h"
+#include "tests/envelope_gen.h"
 
 namespace fractos {
 namespace {
@@ -315,148 +318,27 @@ TEST(PropertyCopies, RandomCopyPlanMatchesReferenceModel) {
 
 // --- wire fuzz: generated envelopes round-trip --------------------------------------------------
 
-ObjectRef random_ref(Rng& rng) {
-  return ObjectRef{static_cast<ControllerAddr>(rng.next_below(100)), rng.next_u64() % 10000,
-                   static_cast<uint32_t>(rng.next_below(5))};
-}
-
-std::vector<ImmExtent> random_imms(Rng& rng) {
-  std::vector<ImmExtent> imms;
-  const uint64_t n = rng.next_below(4);
-  uint32_t off = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    ImmExtent e;
-    e.offset = off;
-    e.bytes = std::vector<uint8_t>(rng.next_below(64));
-    for (auto& b : e.bytes) {
-      b = rng.next_byte();
-    }
-    off = e.end() + static_cast<uint32_t>(rng.next_below(16));
-    imms.push_back(std::move(e));
+// Seeded from FRACTOS_CHAOS_SEED (default 9090), so the CI chaos matrix draws fresh envelopes.
+uint64_t wire_seed() {
+  if (const char* env = std::getenv("FRACTOS_CHAOS_SEED")) {
+    return std::strtoull(env, nullptr, 0);
   }
-  return imms;
-}
-
-WireCap random_cap(Rng& rng) {
-  WireCap c;
-  c.ref = random_ref(rng);
-  c.kind = rng.next_bool() ? ObjectKind::kMemory : ObjectKind::kRequest;
-  c.perms = static_cast<Perms>(rng.next_below(4));
-  c.mem = MemoryDesc{static_cast<uint32_t>(rng.next_below(8)),
-                     static_cast<uint32_t>(rng.next_below(8)), rng.next_u64() % 100000,
-                     1 + rng.next_u64() % 100000};
-  c.tracked = rng.next_bool();
-  return c;
-}
-
-RemoteDeriveMsg random_derive_msg(Rng& rng) {
-  RemoteDeriveMsg m;
-  m.op_id = rng.next_u64();
-  m.base = random_ref(rng);
-  m.op = static_cast<RemoteDeriveMsg::Op>(rng.next_below(4));
-  m.requester = rng.next_u64() % 1000;
-  m.imms = random_imms(rng);
-  for (uint64_t i = 0; i < rng.next_below(3); ++i) {
-    m.caps.push_back(random_cap(rng));
-  }
-  m.offset = rng.next_u64() % 100000;
-  m.size = rng.next_u64() % 100000;
-  m.drop_perms = static_cast<Perms>(rng.next_below(4));
-  return m;
+  return 9090;
 }
 
 TEST(PropertyWire, GeneratedEnvelopesRoundTrip) {
-  Rng rng(9090);
-  for (int trial = 0; trial < 500; ++trial) {
-    Envelope env;
-    const uint64_t seq = rng.next_u64();
-    switch (rng.next_below(8)) {
-      case 0: {
-        RequestCreateMsg m;
-        m.has_base = rng.next_bool();
-        m.base = static_cast<CapId>(rng.next_below(1000));
-        m.imms = random_imms(rng);
-        for (uint64_t i = 0; i < rng.next_below(5); ++i) {
-          m.caps.push_back(static_cast<CapId>(rng.next_below(1000)));
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 1: {
-        RemoteInvokeMsg m;
-        m.target = random_ref(rng);
-        m.imms = random_imms(rng);
-        for (uint64_t i = 0; i < rng.next_below(4); ++i) {
-          m.caps.push_back(random_cap(rng));
-        }
-        m.origin = static_cast<ControllerAddr>(rng.next_below(100));
-        m.invoke_id = rng.next_u64();
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 2: {
-        env = make_envelope(seq, random_derive_msg(rng));
-        break;
-      }
-      case 3: {
-        DeliverRequestMsg m;
-        m.endpoint_cid = static_cast<CapId>(rng.next_below(1000));
-        m.imms = random_imms(rng);
-        for (uint64_t i = 0; i < rng.next_below(4); ++i) {
-          m.caps.push_back(DeliveredCap{static_cast<CapId>(rng.next_below(1000)),
-                                        rng.next_bool() ? ObjectKind::kMemory
-                                                        : ObjectKind::kRequest,
-                                        static_cast<Perms>(rng.next_below(4)),
-                                        rng.next_u64() % 100000});
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 4: {
-        RevokeBroadcastMsg m;
-        for (uint64_t i = 0; i < rng.next_below(8); ++i) {
-          m.revoked.push_back(random_ref(rng));
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 5: {
-        RemoteDeriveBatchMsg m;
-        const uint64_t n = 1 + rng.next_below(6);
-        for (uint64_t i = 0; i < n; ++i) {
-          m.ops.push_back(random_derive_msg(rng));
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 6: {
-        PeerReplyBatchMsg m;
-        const uint64_t n = 1 + rng.next_below(6);
-        for (uint64_t i = 0; i < n; ++i) {
-          PeerReplyMsg r;
-          r.op_id = rng.next_u64();
-          r.status = rng.next_bool() ? ErrorCode::kOk : ErrorCode::kRevoked;
-          r.result = random_cap(rng);
-          m.replies.push_back(r);
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      default: {
-        MemoryCopyMsg m;
-        m.src = static_cast<CapId>(rng.next_below(1000));
-        m.dst = static_cast<CapId>(rng.next_below(1000));
-        m.src_off = rng.next_u64() % 100000;
-        m.dst_off = rng.next_u64() % 100000;
-        m.length = rng.next_u64() % 100000;
-        env = make_envelope(seq, m);
-        break;
-      }
-    }
-    auto decoded = decode_envelope(encode_envelope(env));
-    ASSERT_TRUE(decoded.ok()) << "trial " << trial;
-    EXPECT_EQ(decoded.value().seq, env.seq);
-    EXPECT_EQ(decoded.value().body, env.body) << "trial " << trial;
+  // Channels carry typed frames charged at encoded_size(env) and never serialize them, so
+  // this test is what holds every MsgType's declared size to its real encoding.
+  Rng rng(wire_seed());
+  for (int trial = 0; trial < 20 * testing_gen::kMsgTypeCount; ++trial) {
+    const auto type = static_cast<MsgType>(trial % testing_gen::kMsgTypeCount);
+    const Envelope env = testing_gen::random_envelope(rng, type, rng.next_u64());
+    ASSERT_EQ(env.type, type);
+    const std::vector<uint8_t> bytes = encode_envelope(env);
+    EXPECT_EQ(encoded_size(env), bytes.size()) << msg_type_name(type) << " trial " << trial;
+    auto decoded = decode_envelope(bytes);
+    ASSERT_TRUE(decoded.ok()) << msg_type_name(type) << " trial " << trial;
+    EXPECT_EQ(decoded.value(), env) << msg_type_name(type) << " trial " << trial;
   }
 }
 

@@ -4,6 +4,8 @@
 // Paper shape: baseline throughput bottlenecked by rCUDA; with four requests in flight the
 // GPU itself becomes FractOS's bottleneck.
 
+#include <functional>
+
 #include "bench/bench_util.h"
 #include "src/apps/face_verify.h"
 

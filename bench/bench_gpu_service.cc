@@ -8,6 +8,7 @@
 // Right: throughput at a fixed batch vs in-flight requests. Paper shape: FractOS reaches
 // near-optimal throughput (on par with the local GPU) with more than one request in flight.
 
+#include <functional>
 #include <memory>
 
 #include "bench/bench_util.h"

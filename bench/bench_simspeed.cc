@@ -17,6 +17,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>

@@ -4,6 +4,7 @@
 // Paper shape: DAX saturates the network line rate; FS and the Disaggregated Baseline yield
 // roughly 20% less.
 
+#include <functional>
 #include <memory>
 
 #include "bench/bench_util.h"

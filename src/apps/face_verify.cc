@@ -223,8 +223,9 @@ Future<Result<bool>> FaceVerifyFractos::verify(uint32_t batch, bool tamper) {
   }
   Promise<Result<bool>> promise;
   slot_pool_.acquire()
-      .and_then(
-          [this, batch, tamper, promise](size_t slot) { run_on_slot(slot, batch, tamper, promise); })
+      .and_then([this, batch, tamper, promise](size_t slot) {
+        run_on_slot(slot, batch, tamper, promise);
+      })
       .or_else([promise](ErrorCode e) { promise.set(e); });
   if (span == 0) {
     return promise.future();
@@ -383,8 +384,9 @@ Future<Result<bool>> FaceVerifyBaseline::verify(uint32_t batch, bool tamper) {
   FRACTOS_CHECK(batch < batches_->size());
   Promise<Result<bool>> promise;
   slot_pool_.acquire()
-      .and_then(
-          [this, batch, tamper, promise](size_t slot) { run_on_slot(slot, batch, tamper, promise); })
+      .and_then([this, batch, tamper, promise](size_t slot) {
+        run_on_slot(slot, batch, tamper, promise);
+      })
       .or_else([promise](ErrorCode e) { promise.set(e); });
   return promise.future();
 }

@@ -8,21 +8,20 @@
 #define SRC_BASELINES_BLOCK_DEVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/base/result.h"
 #include "src/devices/nvme.h"
 #include "src/fabric/payload.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
 class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
-  virtual void read(uint64_t off, uint64_t size,
-                    std::function<void(Result<Payload>)> done) = 0;
-  virtual void write(uint64_t off, Payload data, std::function<void(Status)> done) = 0;
+  virtual void read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done) = 0;
+  virtual void write(uint64_t off, Payload data, InlineFn<void(Status)> done) = 0;
   virtual uint64_t capacity() const = 0;
 };
 
@@ -31,11 +30,10 @@ class LocalNvmeDevice : public BlockDevice {
  public:
   explicit LocalNvmeDevice(SimNvme* nvme) : nvme_(nvme) {}
 
-  void read(uint64_t off, uint64_t size,
-            std::function<void(Result<Payload>)> done) override {
+  void read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done) override {
     nvme_->read(off, size, std::move(done));
   }
-  void write(uint64_t off, Payload data, std::function<void(Status)> done) override {
+  void write(uint64_t off, Payload data, InlineFn<void(Status)> done) override {
     nvme_->write(off, std::move(data), std::move(done));
   }
   uint64_t capacity() const override { return nvme_->capacity(); }

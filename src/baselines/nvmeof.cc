@@ -94,8 +94,7 @@ void NvmeofInitiator::on_completion(const Payload& bytes) {
   }
 }
 
-void NvmeofInitiator::read(uint64_t off, uint64_t size,
-                           std::function<void(Result<Payload>)> done) {
+void NvmeofInitiator::read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done) {
   const uint64_t seq = next_seq_++;
   pending_.emplace(seq, std::move(done));
   Encoder e;
@@ -106,7 +105,7 @@ void NvmeofInitiator::read(uint64_t off, uint64_t size,
   qp_.send(Traffic::kControl, e.take());
 }
 
-void NvmeofInitiator::write(uint64_t off, Payload data, std::function<void(Status)> done) {
+void NvmeofInitiator::write(uint64_t off, Payload data, InlineFn<void(Status)> done) {
   const uint64_t seq = next_seq_++;
   pending_.emplace(seq, [done = std::move(done)](Result<Payload> r) {
     done(r.ok() ? ok_status() : Status(r.error()));

@@ -16,6 +16,7 @@
 
 #include "src/baselines/block_device.h"
 #include "src/fabric/queue_pair.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -50,9 +51,8 @@ class NvmeofInitiator : public BlockDevice {
  public:
   NvmeofInitiator(Network* net, uint32_t node, NvmeofTarget* target);
 
-  void read(uint64_t off, uint64_t size,
-            std::function<void(Result<Payload>)> done) override;
-  void write(uint64_t off, Payload data, std::function<void(Status)> done) override;
+  void read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done) override;
+  void write(uint64_t off, Payload data, InlineFn<void(Status)> done) override;
   uint64_t capacity() const override { return target_->nvme().capacity(); }
 
  private:
@@ -62,7 +62,7 @@ class NvmeofInitiator : public BlockDevice {
   NvmeofTarget* target_;
   QueuePair qp_;
   uint64_t next_seq_ = 1;
-  std::unordered_map<uint64_t, std::function<void(Result<Payload>)>> pending_;
+  std::unordered_map<uint64_t, InlineFn<void(Result<Payload>)>> pending_;
 };
 
 }  // namespace fractos

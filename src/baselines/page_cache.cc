@@ -61,7 +61,7 @@ std::vector<uint8_t> PageCache::gather(uint64_t off, uint64_t size) {
   return out;
 }
 
-void PageCache::read(uint64_t off, uint64_t size, std::function<void(Result<Payload>)> done) {
+void PageCache::read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done) {
   if (off + size > capacity()) {
     loop_->post([done = std::move(done)]() { done(ErrorCode::kOutOfRange); });
     return;
@@ -128,7 +128,7 @@ void PageCache::read(uint64_t off, uint64_t size, std::function<void(Result<Payl
       });
 }
 
-void PageCache::write(uint64_t off, Payload data, std::function<void(Status)> done) {
+void PageCache::write(uint64_t off, Payload data, InlineFn<void(Status)> done) {
   if (off + data.size() > capacity()) {
     loop_->post([done = std::move(done)]() { done(ErrorCode::kOutOfRange); });
     return;

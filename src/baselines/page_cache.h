@@ -17,6 +17,7 @@
 
 #include "src/baselines/block_device.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -33,9 +34,8 @@ class PageCache : public BlockDevice {
   PageCache(EventLoop* loop, BlockDevice* backing);
   PageCache(EventLoop* loop, BlockDevice* backing, Params params);
 
-  void read(uint64_t off, uint64_t size,
-            std::function<void(Result<Payload>)> done) override;
-  void write(uint64_t off, Payload data, std::function<void(Status)> done) override;
+  void read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done) override;
+  void write(uint64_t off, Payload data, InlineFn<void(Status)> done) override;
   uint64_t capacity() const override { return backing_->capacity(); }
 
   uint64_t hits() const { return hits_; }

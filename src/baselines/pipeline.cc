@@ -81,7 +81,6 @@ PipelineRunner::PipelineRunner(System* sys, uint32_t client_node, Controller& co
     chain_reply_ = sys->await_ok(client_->serve({}, [this](Process::Received) {
       if (on_chain_reply_) {
         auto cb = std::move(on_chain_reply_);
-        on_chain_reply_ = nullptr;
         cb();
       }
     }));
@@ -145,97 +144,84 @@ Future<Status> PipelineRunner::run_once() {
   client_->write_mem(in_addr_, input);
   client_->write_mem(out_addr_, std::vector<uint8_t>(payload_bytes_, 0));
 
-  auto done = std::make_shared<Promise<Status>>();
+  Promise<Status> done;
+  Future<Status> result = done.future();
   switch (mode_) {
     case PipelineMode::kStar:
-      run_star(done);
+      run_star(0, in_cap_, std::move(done));
       break;
     case PipelineMode::kFastStar:
-      run_fast_star(done);
+      run_fast_star(std::move(done));
       break;
     case PipelineMode::kChain:
-      run_chain(done);
+      run_chain(std::move(done));
       break;
   }
-  return done->future();
+  return result;
 }
 
-void PipelineRunner::run_star(std::shared_ptr<Promise<Status>> done) {
+void PipelineRunner::run_star(size_t i, CapId src, Promise<Status> done) {
   // The client mediates every hop: copy in, invoke, result comes back to the client.
-  auto step = std::make_shared<std::function<void(size_t, CapId)>>();
-  *step = [this, done, weak_step = std::weak_ptr<std::function<void(size_t, CapId)>>(step)](
-              size_t i, CapId src) {
-    auto step = weak_step.lock();
-    if (!step) {
-      return;
-    }
-    if (i == stages_.size()) {
-      // Result is already in out_cap_ (the last stage wrote it there).
-      done->set(verify_output());
-      return;
-    }
-    client_->memory_copy(src, stage_buffers_[i], payload_bytes_)
-        .on_ready([this, done, step, i](Status cs) {
-          if (!cs.ok()) {
-            done->set(cs);
+  if (i == stages_.size()) {
+    // Result is already in out_cap_ (the last stage wrote it there).
+    done.set(verify_output());
+    return;
+  }
+  client_->memory_copy(src, stage_buffers_[i], payload_bytes_)
+      .on_ready([this, done, i](Status cs) {
+        if (!cs.ok()) {
+          done.set(cs);
+          return;
+        }
+        invoke_stage(i, out_cap_).on_ready([this, done, i](Status s) {
+          if (!s.ok()) {
+            done.set(s);
             return;
           }
-          invoke_stage(i, out_cap_).on_ready([this, done, step, i](Status s) {
-            if (!s.ok()) {
-              done->set(s);
-              return;
-            }
-            (*step)(i + 1, out_cap_);
-          });
+          run_star(i + 1, out_cap_, done);
         });
-  };
-  (*step)(0, in_cap_);
+      });
 }
 
-void PipelineRunner::run_fast_star(std::shared_ptr<Promise<Status>> done) {
+void PipelineRunner::run_fast_star(Promise<Status> done) {
   // Centralized control, direct data: stage i writes straight into stage i+1's buffer.
   client_->memory_copy(in_cap_, stage_buffers_[0], payload_bytes_)
       .on_ready([this, done](Status cs) {
         if (!cs.ok()) {
-          done->set(cs);
+          done.set(cs);
           return;
         }
-        auto step = std::make_shared<std::function<void(size_t)>>();
-        *step = [this, done,
-                 weak_step = std::weak_ptr<std::function<void(size_t)>>(step)](size_t i) {
-          auto step = weak_step.lock();
-          if (!step) {
-            return;
-          }
-          if (i == stages_.size()) {
-            done->set(verify_output());
-            return;
-          }
-          const CapId dst = i + 1 < stages_.size() ? stage_buffers_[i + 1] : out_cap_;
-          invoke_stage(i, dst).on_ready([this, done, step, i](Status s) {
-            if (!s.ok()) {
-              done->set(s);
-              return;
-            }
-            (*step)(i + 1);
-          });
-        };
-        (*step)(0);
+        fast_star_stage(0, done);
       });
 }
 
-void PipelineRunner::run_chain(std::shared_ptr<Promise<Status>> done) {
+void PipelineRunner::fast_star_stage(size_t i, Promise<Status> done) {
+  if (i == stages_.size()) {
+    done.set(verify_output());
+    return;
+  }
+  const CapId dst = i + 1 < stages_.size() ? stage_buffers_[i + 1] : out_cap_;
+  invoke_stage(i, dst).on_ready([this, done, i](Status s) {
+    if (!s.ok()) {
+      done.set(s);
+      return;
+    }
+    fast_star_stage(i + 1, done);
+  });
+}
+
+void PipelineRunner::run_chain(Promise<Status> done) {
   // Fully distributed: one invoke, the continuation chain does the rest.
-  on_chain_reply_ = [this, done]() { done->set(verify_output()); };
+  on_chain_reply_ = [this, done]() { done.set(verify_output()); };
   client_->memory_copy(in_cap_, stage_buffers_[0], payload_bytes_)
       .on_ready([this, done](Status cs) {
         if (!cs.ok()) {
-          done->set(cs);
+          done.set(cs);
           return;
         }
         client_->request_invoke(chain_head_).on_ready([done](Status s) {
           if (!s.ok()) {
-            done->set(s);
+            done.set(s);
           }
         });
       });

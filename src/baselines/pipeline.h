@@ -17,10 +17,10 @@
 #ifndef SRC_BASELINES_PIPELINE_H_
 #define SRC_BASELINES_PIPELINE_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/core/system.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -74,9 +74,11 @@ class PipelineRunner {
   Process& client() { return *client_; }
 
  private:
-  void run_star(std::shared_ptr<Promise<Status>> done);
-  void run_fast_star(std::shared_ptr<Promise<Status>> done);
-  void run_chain(std::shared_ptr<Promise<Status>> done);
+  // One pass per mode; each settles `done`. The star modes recurse one stage at a time.
+  void run_star(size_t i, CapId src, Promise<Status> done);
+  void run_fast_star(Promise<Status> done);
+  void fast_star_stage(size_t i, Promise<Status> done);
+  void run_chain(Promise<Status> done);
   Status verify_output();
   // One synchronous stage invocation with [dst, reply] caps.
   Future<Status> invoke_stage(size_t i, CapId dst);
@@ -94,7 +96,7 @@ class PipelineRunner {
   std::vector<CapId> stage_buffers_;  // client-held stage input buffers
   CapId chain_head_ = kInvalidCap;    // pre-derived chain (kChain)
   CapId chain_reply_ = kInvalidCap;   // client endpoint the last stage invokes
-  std::function<void()> on_chain_reply_;
+  InlineFn<void()> on_chain_reply_;
   uint8_t iteration_seed_ = 1;
 };
 

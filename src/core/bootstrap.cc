@@ -12,8 +12,10 @@ constexpr uint8_t kStatusBadArgs = 2;
 
 KvStore::KvStore(System* sys, uint32_t node, Controller& controller) : sys_(sys) {
   proc_ = &sys->spawn("kvstore", node, controller, 1 << 20);
-  put_ep_ = sys->await_ok(proc_->serve({}, [this](Process::Received r) { handle_put(std::move(r)); }));
-  get_ep_ = sys->await_ok(proc_->serve({}, [this](Process::Received r) { handle_get(std::move(r)); }));
+  put_ep_ =
+      sys->await_ok(proc_->serve({}, [this](Process::Received r) { handle_put(std::move(r)); }));
+  get_ep_ =
+      sys->await_ok(proc_->serve({}, [this](Process::Received r) { handle_get(std::move(r)); }));
 }
 
 KvStore::Endpoints KvStore::grant_to(Process& p) {

@@ -10,19 +10,19 @@
 #ifndef SRC_CORE_CHANNEL_H_
 #define SRC_CORE_CHANNEL_H_
 
-#include <functional>
 #include <utility>
 
 #include "src/base/assert.h"
 #include "src/fabric/queue_pair.h"
+#include "src/sim/inline_fn.h"
 #include "src/wire/message.h"
 
 namespace fractos {
 
 class Channel {
  public:
-  using Handler = std::function<void(Envelope)>;
-  using SeveredHandler = std::function<void()>;
+  using Handler = InlineFn<void(Envelope)>;
+  using SeveredHandler = InlineFn<void()>;
 
   Channel(Network* net, Endpoint local) : qp_(net, local) {
     qp_.set_receive_handler([this](Payload frame) { on_frame(std::move(frame)); });

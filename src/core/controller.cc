@@ -138,7 +138,8 @@ Status Controller::check_rdma(const RdmaKey& key, PoolId pool, uint64_t addr, ui
     return resolved.error();
   }
   const auto& mem = resolved.value();
-  if (mem.desc.pool != pool || addr < mem.desc.addr || addr + size > mem.desc.addr + mem.desc.size) {
+  if (mem.desc.pool != pool || addr < mem.desc.addr ||
+      addr + size > mem.desc.addr + mem.desc.size) {
     return ErrorCode::kOutOfRange;
   }
   if (!perms_allow(mem.perms, is_write ? Perms::kWrite : Perms::kRead)) {
@@ -397,8 +398,8 @@ void Controller::reply_to(ProcessId pid, uint64_t seq, ErrorCode status, CapId c
   }
 }
 
-std::function<void(ErrorCode)> Controller::reply_on_commit(ProcessId pid, uint64_t seq,
-                                                           Result<CapId> cid) {
+InlineFn<void(ErrorCode)> Controller::reply_on_commit(ProcessId pid, uint64_t seq,
+                                                      Result<CapId> cid) {
   return [this, pid, seq, cid](ErrorCode ec) {
     if (ec == ErrorCode::kOk && !cid.ok()) {
       ec = cid.error();
@@ -407,8 +408,8 @@ std::function<void(ErrorCode)> Controller::reply_on_commit(ProcessId pid, uint64
   };
 }
 
-std::function<void(Result<PeerReplyMsg>&&)> Controller::install_peer_result(ProcessId pid,
-                                                                            uint64_t seq) {
+InlineFn<void(Result<PeerReplyMsg>&&)> Controller::install_peer_result(ProcessId pid,
+                                                                       uint64_t seq) {
   return [this, pid, seq](Result<PeerReplyMsg>&& res) {
     auto it = procs_.find(pid);
     if (it == procs_.end() || !it->second->alive) {
@@ -572,7 +573,7 @@ void Controller::do_copy(ProcState& p, uint64_t seq, const CapEntry& src, const 
 }
 
 void Controller::bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, uint64_t total,
-                                     std::function<void(Status)> done) {
+                                     InlineFn<void(Status)> done) {
   // "FractOS uses double buffering for buffers larger than 16 KB" (Fig. 5): below the
   // threshold the copy is one read followed by one write through the Controller's bounce
   // buffers; above it, fixed-size chunks are pipelined with up to two reads in flight, so a
@@ -1154,7 +1155,7 @@ void Controller::drain_deliveries(ProcState& p) {
   }
 }
 
-// --- peer handlers --------------------------------------------------------------------------------
+// --- peer handlers -------------------------------------------------------------------------------
 
 void Controller::peer_remote_invoke(ControllerAddr origin, const RemoteInvokeMsg& m) {
   ++stats_.invokes_received;
@@ -1210,7 +1211,7 @@ void Controller::peer_remote_derive_batch(ControllerAddr origin, const RemoteDer
 }
 
 void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m,
-                                    std::function<void(const PeerReplyMsg&)> done) {
+                                    InlineFn<void(const PeerReplyMsg&)> done) {
   // Idempotency: a resent request whose first copy already executed is answered from the
   // reply cache — revokes and derivations must not run twice.
   if (const PeerReplyMsg* cached = rpc_.lookup(origin, m.op_id)) {
@@ -1319,9 +1320,8 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
   // the entry is durable on a majority. Without a group the continuation runs synchronously
   // and this whole block collapses to the pre-replication order of effects.
   const bool is_revoke = op.kind == ReplicatedOp::Kind::kRevoke;
-  auto revoked_state = std::make_shared<ObjectTable::RevokeResult>(std::move(revoked));
   commit_mutation(seat, std::move(op),
-                  [this, origin, seat, r, is_revoke, revoked_state,
+                  [this, origin, seat, r, is_revoke, revoked = std::move(revoked),
                    done = std::move(done)](ErrorCode ec) mutable {
                     if (ec != ErrorCode::kOk) {
                       // Unknown outcome (deposed mid-commit): do NOT cache — the op may be
@@ -1332,7 +1332,7 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
                       return;
                     }
                     if (is_revoke) {
-                      apply_revoke_for(seat, *revoked_state);
+                      apply_revoke_for(seat, revoked);
                     }
                     rpc_.remember(origin, r);
                     done(r);
@@ -1440,7 +1440,7 @@ void Controller::peer_invoke_error(const RemoteInvokeErrorMsg& m) {
   pit->second->chan->send(Traffic::kControl, make_envelope(next_seq_++, m));
 }
 
-// --- revocation plumbing --------------------------------------------------------------------------
+// --- revocation plumbing -------------------------------------------------------------------------
 
 void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::RevokeResult& result,
                                   bool fire_monitors) {
@@ -1547,7 +1547,7 @@ void Controller::send_peer(ControllerAddr peer, Envelope env, Traffic cat) {
   p->chan->send(cat, std::move(env));
 }
 
-// --- failure handling -----------------------------------------------------------------------------
+// --- failure handling ----------------------------------------------------------------------------
 
 void Controller::process_failed(ProcessId pid) {
   auto it = procs_.find(pid);
@@ -1634,7 +1634,7 @@ void Controller::restart() {
   failed_ = false;
 }
 
-// --- replicated control plane ---------------------------------------------------------------------
+// --- replicated control plane --------------------------------------------------------------------
 
 void Controller::enable_replication(ControllerAddr seat, std::vector<ControllerAddr> members,
                                     uint32_t seat_reboot, ReplicationGroup::Params params) {
@@ -1716,7 +1716,7 @@ bool Controller::can_mutate_seat(ControllerAddr seat) const {
 }
 
 void Controller::commit_mutation(ControllerAddr seat, ReplicatedOp op,
-                                 std::function<void(ErrorCode)> done) {
+                                 InlineFn<void(ErrorCode)> done) {
   auto it = repl_groups_.find(seat);
   if (it == repl_groups_.end()) {
     done(ErrorCode::kOk);  // unreplicated: acknowledge inline (the pre-replication path)

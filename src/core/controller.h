@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,6 +36,7 @@
 #include "src/core/translation_cache.h"
 #include "src/fabric/network.h"
 #include "src/futures/future.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/intern.h"
 
 namespace fractos {
@@ -120,7 +120,7 @@ class Controller {
   // first send toward an unconnected peer resolves it on demand. The hook performs the
   // two-sided connect (or returns nullptr for a dead/unknown peer) and costs no simulated
   // time; see SystemConfig::lazy_controller_mesh for the one semantic narrowing.
-  using PeerConnector = std::function<Channel*(ControllerAddr)>;
+  using PeerConnector = InlineFn<Channel*(ControllerAddr)>;
   void set_peer_connector(PeerConnector fn) { peer_connector_ = std::move(fn); }
 
   // Forgets a (severed) peer link so a restarted Controller can be re-meshed.
@@ -262,7 +262,7 @@ class Controller {
   // replication group `done` runs synchronously (the pre-replication code path, verbatim);
   // with one, mutating ops defer `done` until the logged entry commits on a majority.
   void exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m,
-                          std::function<void(const PeerReplyMsg&)> done);
+                          InlineFn<void(const PeerReplyMsg&)> done);
   void peer_reply(const PeerReplyMsg& m);
   void peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadcastMsg& m);
   void peer_revoke_ack(const RevokeAckMsg& m);
@@ -275,11 +275,11 @@ class Controller {
   // Same, to `pid` if it is still alive (continuations outlive the ProcState& they began on).
   void reply_to(ProcessId pid, uint64_t seq, ErrorCode status, CapId cid = kInvalidCap);
   // Commit continuation of a syscall that installed `cid` (or failed to install it).
-  std::function<void(ErrorCode)> reply_on_commit(ProcessId pid, uint64_t seq,
-                                                 Result<CapId> cid = kInvalidCap);
+  InlineFn<void(ErrorCode)> reply_on_commit(ProcessId pid, uint64_t seq,
+                                            Result<CapId> cid = kInvalidCap);
   // Peer-op continuation of a remote derivation: installs the returned object into `pid`'s
   // space and replies with its cid.
-  std::function<void(Result<PeerReplyMsg>&&)> install_peer_result(ProcessId pid, uint64_t seq);
+  InlineFn<void(Result<PeerReplyMsg>&&)> install_peer_result(ProcessId pid, uint64_t seq);
   // Releases one admission-gate slot (no-op for ungated processes).
   static void admission_release(ProcState& p) {
     if (p.admission_inflight > 0) {
@@ -316,7 +316,7 @@ class Controller {
   // The memory_copy data path.
   void do_copy(ProcState& p, uint64_t seq, const CapEntry& src, const CapEntry& dst);
   void bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, uint64_t total,
-                           std::function<void(Status)> done);
+                           InlineFn<void(Status)> done);
   // Called from inside an exec_->run() callback that just paid `cost` of capability/request
   // translation: counts it and records the kTranslation span retroactively (the execution
   // window [now - cost/speed, now] has just elapsed on exec_).
@@ -339,7 +339,7 @@ class Controller {
   // Commit gate for one capability mutation already applied to the serving table: without a
   // group, `done(kOk)` runs synchronously (bit-identical off path); with one, `done` runs
   // when the entry commits (or fails with kNotLeader/kTimeout).
-  void commit_mutation(ControllerAddr seat, ReplicatedOp op, std::function<void(ErrorCode)> done);
+  void commit_mutation(ControllerAddr seat, ReplicatedOp op, InlineFn<void(ErrorCode)> done);
   // Fire-and-forget variant for mutations whose replies are not commit-gated (delegation
   // bookkeeping, erase sweeps, failure translation) — keeps the log a total order of every
   // mutation so follower replicas converge structurally.

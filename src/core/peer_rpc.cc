@@ -13,8 +13,7 @@
 namespace fractos {
 
 PeerRpc::PeerRpc(EventLoop* loop, ControllerAddr self, const Config& config,
-                 ControllerStats* stats, uint64_t* next_seq, SendFn send,
-                 std::function<bool()> lossy)
+                 ControllerStats* stats, uint64_t* next_seq, SendFn send, InlineFn<bool()> lossy)
     : loop_(loop), config_(config), stats_(stats), next_seq_(next_seq), send_(std::move(send)),
       lossy_(std::move(lossy)), actor_(intern_name("ctrl-" + std::to_string(self))) {
   const std::string mp = "ctrl." + std::to_string(self) + ".";

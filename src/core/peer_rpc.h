@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "src/fabric/payload.h"
 #include "src/futures/future.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/intern.h"
 #include "src/wire/message.h"
 
@@ -63,14 +63,14 @@ class PeerRpc {
 
   // The wire hook: sends `frame` (a Channel::frame) to `peer` and returns whether `peer` is
   // reachable. Nothing is sent when it is not; a null `frame` only asks.
-  using SendFn = std::function<bool(ControllerAddr peer, const Payload* frame)>;
+  using SendFn = InlineFn<bool(ControllerAddr peer, const Payload* frame)>;
 
   // `self` names the metric keys (ctrl.<self>.*, cap.<self>.batch_occupancy) and the span
   // actor (ctrl-<self>). The reliability counters land in `stats`; batch frames take their
   // envelope seq from `next_seq`. `lossy` says whether frames may be lost, duplicated or
   // reordered: only then are resends, deadlines and the reply cache armed.
   PeerRpc(EventLoop* loop, ControllerAddr self, const Config& config, ControllerStats* stats,
-          uint64_t* next_seq, SendFn send, std::function<bool()> lossy);
+          uint64_t* next_seq, SendFn send, InlineFn<bool()> lossy);
   // Completes every still-pending op with kChannelClosed (no broken promises).
   ~PeerRpc();
   PeerRpc(const PeerRpc&) = delete;
@@ -144,7 +144,7 @@ class PeerRpc {
   ControllerStats* stats_;
   uint64_t* next_seq_;
   SendFn send_;
-  std::function<bool()> lossy_;
+  InlineFn<bool()> lossy_;
   NameId actor_;
   struct MetricKeys {
     NameId retries;

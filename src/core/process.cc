@@ -196,13 +196,13 @@ Future<Status> Process::monitor_receive(CapId cid, uint64_t callback_id) {
       make_envelope(next_seq_++, MonitorMsg{cid, callback_id}, /*delegate_mode=*/false));
 }
 
-// --- serving --------------------------------------------------------------------------------------
+// --- serving -------------------------------------------------------------------------------------
 
 Future<Result<CapId>> Process::serve(Args initial_args, Handler handler) {
   return request_create(std::move(initial_args))
-      .then([this, handler = std::move(handler)](Result<CapId> cid) -> Result<CapId> {
+      .then([this, handler = std::move(handler)](Result<CapId> cid) mutable -> Result<CapId> {
         if (cid.ok()) {
-          on_endpoint(cid.value(), handler);
+          on_endpoint(cid.value(), std::move(handler));
         }
         return cid;
       });
@@ -262,13 +262,17 @@ void Process::on_envelope(Envelope env) {
       r.endpoint = d.endpoint_cid;
       r.imms = std::move(d.imms);
       r.caps = std::move(d.caps);
-      auto it = handlers_.find(r.endpoint);
+      const CapId endpoint = r.endpoint;
+      auto it = handlers_.find(endpoint);
       if (it != handlers_.end()) {
-        // Copy the handler: it may erase itself (one-shot endpoints).
-        Handler h = it->second;
+        // Run the handler out of the map: it may erase itself (one-shot endpoints) or bind a
+        // new one. It goes back only if its entry is still there and still empty.
+        Handler h = std::move(it->second);
         h(std::move(r));
-      } else if (default_handler_ != nullptr) {
-        default_handler_(std::move(r));
+        auto again = handlers_.find(endpoint);
+        if (again != handlers_.end() && again->second == nullptr) {
+          again->second = std::move(h);
+        }
       }
       {
         Envelope ack = make_envelope(next_seq_++, DeliverAckMsg{});
@@ -302,7 +306,7 @@ void Process::on_envelope(Envelope env) {
   }
 }
 
-// --- local memory ---------------------------------------------------------------------------------
+// --- local memory --------------------------------------------------------------------------------
 
 uint64_t Process::heap_size() const { return net_->node(node_).pool(heap_pool_).size(); }
 

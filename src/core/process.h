@@ -31,7 +31,6 @@
 #define SRC_CORE_PROCESS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,6 +40,7 @@
 #include "src/cap/types.h"
 #include "src/core/channel.h"
 #include "src/futures/future.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/intern.h"
 #include "src/fabric/network.h"
 
@@ -78,7 +78,7 @@ class Process {
     CapId cap(size_t i) const { return i < caps.size() ? caps[i].cid : kInvalidCap; }
     size_t num_caps() const { return caps.size(); }
   };
-  using Handler = std::function<void(Received)>;
+  using Handler = InlineFn<void(Received)>;
 
   Process(Network* net, ProcessId pid, std::string name, uint32_t node, PoolId heap_pool,
           Endpoint controller_ep);
@@ -116,11 +116,10 @@ class Process {
   Future<Result<CapId>> serve(Args initial_args, Handler handler);
   void on_endpoint(CapId endpoint_cid, Handler handler);
   void remove_endpoint(CapId endpoint_cid) { handlers_.erase(endpoint_cid); }
-  void set_default_handler(Handler handler) { default_handler_ = std::move(handler); }
-  void set_monitor_handler(std::function<void(uint64_t callback_id, bool delegate_mode)> h) {
+  void set_monitor_handler(InlineFn<void(uint64_t callback_id, bool delegate_mode)> h) {
     monitor_handler_ = std::move(h);
   }
-  void set_invoke_error_handler(std::function<void(ErrorCode)> h) {
+  void set_invoke_error_handler(InlineFn<void(ErrorCode)> h) {
     invoke_error_handler_ = std::move(h);
   }
 
@@ -161,11 +160,10 @@ class Process {
   std::unordered_map<uint64_t, uint64_t> pending_spans_;
   uint64_t next_alloc_ = 0;
   bool failed_ = false;
-  std::unordered_map<uint64_t, std::function<void(const SyscallReplyMsg&)>> pending_;
+  std::unordered_map<uint64_t, InlineFn<void(const SyscallReplyMsg&)>> pending_;
   std::unordered_map<CapId, Handler> handlers_;
-  Handler default_handler_;
-  std::function<void(uint64_t, bool)> monitor_handler_;
-  std::function<void(ErrorCode)> invoke_error_handler_;
+  InlineFn<void(uint64_t, bool)> monitor_handler_;
+  InlineFn<void(ErrorCode)> invoke_error_handler_;
 };
 
 }  // namespace fractos

@@ -285,7 +285,7 @@ void ReplicationGroup::step_down(uint64_t new_term) {
   fail_waiters(ErrorCode::kNotLeader);
 }
 
-void ReplicationGroup::replicate(ReplicatedOp op, std::function<void(ErrorCode)> done) {
+void ReplicationGroup::replicate(ReplicatedOp op, InlineFn<void(ErrorCode)> done) {
   if (!can_serve()) {
     done(ErrorCode::kNotLeader);
     return;

@@ -34,13 +34,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "src/cap/object_table.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/intern.h"
 #include "src/sim/span.h"
 #include "src/sim/time.h"
@@ -104,7 +104,7 @@ class ReplicationGroup {
   // this appends it to the log and calls `done` exactly once — kOk when the entry commits
   // on a majority, kNotLeader when this member cannot lead, kTimeout past commit_deadline
   // (the entry may still commit later: the classic unknown-outcome window).
-  void replicate(ReplicatedOp op, std::function<void(ErrorCode)> done);
+  void replicate(ReplicatedOp op, InlineFn<void(ErrorCode)> done);
 
   // Message entry points (dispatched from Controller::on_peer_msg).
   void on_append(ControllerAddr from, const ReplAppendMsg& m);
@@ -123,7 +123,7 @@ class ReplicationGroup {
     Time deadline;
     Time appended;
     SpanContext ctx;        // ambient trace at replicate() time, for the commit span
-    std::function<void(ErrorCode)> done;
+    InlineFn<void(ErrorCode)> done;
   };
 
   size_t rank_of_self() const;

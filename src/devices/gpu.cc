@@ -76,7 +76,7 @@ SimGpu::KernelId SimGpu::load_kernel(const std::string& name, Kernel kernel) {
   return id;
 }
 
-void SimGpu::launch(KernelId id, std::vector<uint64_t> args, std::function<void(Status)> done) {
+void SimGpu::launch(KernelId id, std::vector<uint64_t> args, InlineFn<void(Status)> done) {
   auto it = kernels_.find(id);
   if (it == kernels_.end()) {
     net_->loop()->post([done = std::move(done)]() { done(ErrorCode::kNotFound); });

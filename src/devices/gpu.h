@@ -12,7 +12,6 @@
 #define SRC_DEVICES_GPU_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -20,6 +19,7 @@
 
 #include "src/base/result.h"
 #include "src/fabric/network.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -33,7 +33,7 @@ class SimGpu {
 
   // A kernel executes over the device pool and returns its compute duration.
   using Kernel =
-      std::function<Duration(PoolBytes& mem, const std::vector<uint64_t>& args)>;
+      InlineFn<Duration(PoolBytes& mem, const std::vector<uint64_t>& args)>;
   using ContextId = uint32_t;
   using KernelId = uint32_t;
 
@@ -59,7 +59,7 @@ class SimGpu {
   bool has_kernel(KernelId id) const { return kernels_.contains(id); }
 
   // Launches a kernel; `done` runs when it completes (FIFO with other launches).
-  void launch(KernelId id, std::vector<uint64_t> args, std::function<void(Status)> done);
+  void launch(KernelId id, std::vector<uint64_t> args, InlineFn<void(Status)> done);
 
   // Engine occupancy, for utilization reporting in benches.
   Duration busy_time() const { return busy_; }

@@ -101,7 +101,7 @@ void SimNvme::write_bytes(uint64_t off, const std::vector<uint8_t>& data) {
   }
 }
 
-void SimNvme::read(uint64_t off, uint64_t size, std::function<void(Result<Payload>)> done) {
+void SimNvme::read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done) {
   if (Status s = check_range(off, size); !s.ok()) {
     loop_->post([done = std::move(done), s]() { done(s.error()); });
     return;
@@ -132,7 +132,7 @@ void SimNvme::read(uint64_t off, uint64_t size, std::function<void(Result<Payloa
   });
 }
 
-void SimNvme::write(uint64_t off, Payload data, std::function<void(Status)> done) {
+void SimNvme::write(uint64_t off, Payload data, InlineFn<void(Status)> done) {
   if (Status s = check_range(off, data.size()); !s.ok()) {
     loop_->post([done = std::move(done), s]() { done(s); });
     return;

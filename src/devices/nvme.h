@@ -10,13 +10,13 @@
 #define SRC_DEVICES_NVME_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
 #include "src/fabric/payload.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -45,10 +45,10 @@ class SimNvme {
   // Reads `size` bytes at byte offset `off`; `done` gets the data after the modeled service
   // time. Out-of-range access fails immediately. The result is a refcounted Payload: the
   // block-store copy happens once, here, and the handle rides the completion for free.
-  void read(uint64_t off, uint64_t size, std::function<void(Result<Payload>)> done);
+  void read(uint64_t off, uint64_t size, InlineFn<void(Result<Payload>)> done);
 
   // Writes `data` at byte offset `off`.
-  void write(uint64_t off, Payload data, std::function<void(Status)> done);
+  void write(uint64_t off, Payload data, InlineFn<void(Status)> done);
 
   // Direct (zero-time) access for test setup / verification.
   std::vector<uint8_t> peek(uint64_t off, uint64_t size) const;

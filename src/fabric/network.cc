@@ -1,5 +1,6 @@
 #include "src/fabric/network.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -337,7 +338,7 @@ void Network::sharded_cross_rack_transfer(Endpoint src, Endpoint dst, Traffic ca
 }
 
 void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload,
-                   std::function<void(Payload)> deliver, std::function<void()> dropped) {
+                   InlineFn<void(Payload)> deliver, InlineFn<void()> dropped) {
   FRACTOS_CHECK(src.node < nodes_.size() && dst.node < nodes_.size());
   if (nodes_[src.node]->failed() || nodes_[dst.node]->failed()) {
     if (dropped != nullptr) {
@@ -411,12 +412,15 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
   if (duplicate) {
     // A duplicated message is charged twice on the wire and delivered twice; receiver-side
     // dedup (QueuePair sequence numbers) is what keeps it invisible to the layers above.
-    // Both copies alias the same Payload rep — duplication costs a refcount bump, not bytes.
+    // Both copies alias the same Payload rep — duplication costs a refcount bump, not bytes —
+    // and share the one `deliver`, the only callback in the fabric that runs twice.
+    auto shared = std::make_shared<InlineFn<void(Payload)>>(std::move(deliver));
+    deliver = [shared](Payload p) { (*shared)(std::move(p)); };
     const Time dup_arrival = schedule_transfer(src, dst, category, payload.size());
     const uint32_t dd = dst.node;
-    loop_->schedule_at(dup_arrival, [this, dd, payload, deliver]() mutable {
+    loop_->schedule_at(dup_arrival, [this, dd, payload, shared]() mutable {
       if (!nodes_[dd]->failed()) {
-        deliver(std::move(payload));
+        (*shared)(std::move(payload));
       }
     });
   }
@@ -424,7 +428,8 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
   // never sees it.
   const uint32_t dst_node = dst.node;
   loop_->schedule_at(arrival, [this, dst_node, payload = std::move(payload),
-                               deliver = std::move(deliver), dropped = std::move(dropped)]() mutable {
+                               deliver = std::move(deliver),
+                               dropped = std::move(dropped)]() mutable {
     if (nodes_[dst_node]->failed()) {
       if (dropped != nullptr) {
         dropped();
@@ -435,35 +440,56 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
   });
 }
 
-void Network::rdma_read(Endpoint initiator, uint32_t target, const RdmaKey& key, PoolId pool,
-                        uint64_t addr, uint64_t size,
-                        std::function<void(Result<Payload>)> done, LinkClass cls) {
-  FRACTOS_CHECK(initiator.node < nodes_.size() && target < nodes_.size());
-  if (injector_ != nullptr) {
-    const bool blocked = route_blocked(initiator, Endpoint{target, Loc::kHost}, loop_->now());
-    const FaultInjector::RdmaVerdict v =
-        injector_->on_rdma(initiator.node, target, loop_->now(), blocked);
-    note_rdma_faults(loop_, v);
-    if (v.abort) {
-      loop_->schedule_after(v.delay, [done = std::move(done)]() mutable {
-        done(ErrorCode::kTimeout);
-      });
-      return;
-    }
-    if (v.retries > 0) {
-      loop_->schedule_after(v.delay, [this, initiator, target, key, pool, addr, size, cls,
-                                      done = std::move(done)]() mutable {
-        rdma_read_impl(initiator, target, key, pool, addr, size, std::move(done), cls);
-      });
-      return;
-    }
+uint32_t Network::register_qp(QueuePair* qp) {
+  FRACTOS_CHECK_MSG(!loop_->parallel_active(), "QueuePairs must be built outside run_parallel()");
+  qp_slots_.push_back(qp);
+  return static_cast<uint32_t>(qp_slots_.size() - 1);
+}
+
+void Network::unregister_qp(uint32_t slot) {
+  FRACTOS_CHECK_MSG(!loop_->parallel_active(),
+                    "QueuePairs must be destroyed outside run_parallel()");
+  FRACTOS_CHECK(qp_slots_[slot] != nullptr);
+  qp_slots_[slot] = nullptr;
+}
+
+FaultInjector::RdmaVerdict Network::rdma_verdict(Endpoint from, uint32_t to) {
+  if (injector_ == nullptr) {
+    return {};
   }
-  rdma_read_impl(initiator, target, key, pool, addr, size, std::move(done), cls);
+  const bool blocked = route_blocked(from, Endpoint{to, Loc::kHost}, loop_->now());
+  const FaultInjector::RdmaVerdict v = injector_->on_rdma(from.node, to, loop_->now(), blocked);
+  note_rdma_faults(loop_, v);
+  return v;
+}
+
+template <typename Done, typename Start>
+void Network::start_verb(const FaultInjector::RdmaVerdict& v, Done done, Start start) {
+  if (v.abort) {
+    loop_->schedule_after(v.delay, [done = std::move(done)]() { done(ErrorCode::kTimeout); });
+  } else if (v.retries > 0) {
+    loop_->schedule_after(v.delay, [start = std::move(start), done = std::move(done)]() mutable {
+      start(std::move(done));
+    });
+  } else {
+    start(std::move(done));
+  }
+}
+
+void Network::rdma_read(Endpoint initiator, uint32_t target, const RdmaKey& key, PoolId pool,
+                        uint64_t addr, uint64_t size, InlineFn<void(Result<Payload>)> done,
+                        LinkClass cls) {
+  FRACTOS_CHECK(initiator.node < nodes_.size() && target < nodes_.size());
+  start_verb(rdma_verdict(initiator, target), std::move(done),
+             [this, initiator, target, key, pool, addr, size,
+              cls](InlineFn<void(Result<Payload>)> d) {
+               rdma_read_impl(initiator, target, key, pool, addr, size, std::move(d), cls);
+             });
 }
 
 void Network::rdma_read_impl(Endpoint initiator, uint32_t target, const RdmaKey& key,
                              PoolId pool, uint64_t addr, uint64_t size,
-                             std::function<void(Result<Payload>)> done, LinkClass cls) {
+                             InlineFn<void(Result<Payload>)> done, LinkClass cls) {
   const Endpoint tgt_ep{target, Loc::kHost};
 
   // Request leg: a header-only work request to the target NIC. Each leg runs through
@@ -494,35 +520,19 @@ void Network::rdma_read_impl(Endpoint initiator, uint32_t target, const RdmaKey&
 }
 
 void Network::rdma_write(Endpoint initiator, uint32_t target, const RdmaKey& key, PoolId pool,
-                         uint64_t addr, Payload data, std::function<void(Status)> done,
-                         LinkClass cls) {
+                         uint64_t addr, Payload data, InlineFn<void(Status)> done, LinkClass cls) {
   FRACTOS_CHECK(initiator.node < nodes_.size() && target < nodes_.size());
-  if (injector_ != nullptr) {
-    const bool blocked = route_blocked(initiator, Endpoint{target, Loc::kHost}, loop_->now());
-    const FaultInjector::RdmaVerdict v =
-        injector_->on_rdma(initiator.node, target, loop_->now(), blocked);
-    note_rdma_faults(loop_, v);
-    if (v.abort) {
-      loop_->schedule_after(v.delay, [done = std::move(done)]() mutable {
-        done(Status(ErrorCode::kTimeout));
-      });
-      return;
-    }
-    if (v.retries > 0) {
-      loop_->schedule_after(v.delay, [this, initiator, target, key, pool, addr, cls,
-                                      data = std::move(data), done = std::move(done)]() mutable {
-        rdma_write_impl(initiator, target, key, pool, addr, std::move(data), std::move(done),
-                        cls);
-      });
-      return;
-    }
-  }
-  rdma_write_impl(initiator, target, key, pool, addr, std::move(data), std::move(done), cls);
+  start_verb(rdma_verdict(initiator, target), std::move(done),
+             [this, initiator, target, key, pool, addr, cls,
+              data = std::move(data)](InlineFn<void(Status)> d) mutable {
+               rdma_write_impl(initiator, target, key, pool, addr, std::move(data), std::move(d),
+                               cls);
+             });
 }
 
 void Network::rdma_write_impl(Endpoint initiator, uint32_t target, const RdmaKey& key,
                               PoolId pool, uint64_t addr, Payload data,
-                              std::function<void(Status)> done, LinkClass cls) {
+                              InlineFn<void(Status)> done, LinkClass cls) {
   const Endpoint tgt_ep{target, Loc::kHost};
   const uint64_t size = data.size();
 
@@ -545,40 +555,21 @@ void Network::rdma_write_impl(Endpoint initiator, uint32_t target, const RdmaKey
 }
 
 void Network::rdma_third_party(Endpoint initiator, RdmaSide src, RdmaSide dst, uint64_t size,
-                               std::function<void(Status)> done) {
+                               InlineFn<void(Status)> done) {
   FRACTOS_CHECK(initiator.node < nodes_.size());
   FRACTOS_CHECK(src.node < nodes_.size() && dst.node < nodes_.size());
-  if (injector_ != nullptr) {
-    // Two wire legs are exposed to faults: the work request (initiator -> src NIC) and the
-    // third-party data leg (src -> dst). Either aborting fails the whole verb.
-    const Endpoint src_ep{src.node, Loc::kHost};
-    const Endpoint dst_ep{dst.node, Loc::kHost};
-    const FaultInjector::RdmaVerdict v1 = injector_->on_rdma(
-        initiator.node, src.node, loop_->now(), route_blocked(initiator, src_ep, loop_->now()));
-    const FaultInjector::RdmaVerdict v2 = injector_->on_rdma(
-        src.node, dst.node, loop_->now(), route_blocked(src_ep, dst_ep, loop_->now()));
-    note_rdma_faults(loop_, v1);
-    note_rdma_faults(loop_, v2);
-    const Duration delay = v1.delay + v2.delay;
-    if (v1.abort || v2.abort) {
-      loop_->schedule_after(delay, [done = std::move(done)]() mutable {
-        done(Status(ErrorCode::kTimeout));
-      });
-      return;
-    }
-    if (v1.retries > 0 || v2.retries > 0) {
-      loop_->schedule_after(delay, [this, initiator, src, dst, size,
-                                    done = std::move(done)]() mutable {
-        rdma_third_party_impl(initiator, src, dst, size, std::move(done));
-      });
-      return;
-    }
-  }
-  rdma_third_party_impl(initiator, src, dst, size, std::move(done));
+  // Two wire legs are exposed to faults: the work request (initiator -> src NIC) and the
+  // third-party data leg (src -> dst). Either aborting fails the whole verb.
+  const FaultInjector::RdmaVerdict v1 = rdma_verdict(initiator, src.node);
+  const FaultInjector::RdmaVerdict v2 = rdma_verdict(Endpoint{src.node, Loc::kHost}, dst.node);
+  start_verb({v1.retries + v2.retries, v1.abort || v2.abort, v1.delay + v2.delay},
+             std::move(done), [this, initiator, src, dst, size](InlineFn<void(Status)> d) {
+               rdma_third_party_impl(initiator, src, dst, size, std::move(d));
+             });
 }
 
 void Network::rdma_third_party_impl(Endpoint initiator, RdmaSide src, RdmaSide dst,
-                                    uint64_t size, std::function<void(Status)> done) {
+                                    uint64_t size, InlineFn<void(Status)> done) {
   const Endpoint src_ep{src.node, Loc::kHost};
   const Endpoint dst_ep{dst.node, Loc::kHost};
 

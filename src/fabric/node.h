@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -20,6 +19,7 @@
 
 #include "src/base/result.h"
 #include "src/sim/exec_context.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -83,8 +83,8 @@ struct RdmaKey {
 };
 
 // Authorization hook for incoming one-sided RDMA, registered per node by the core layer.
-using RdmaAuthorizer = std::function<Status(const RdmaKey& key, PoolId pool, uint64_t addr,
-                                            uint64_t size, bool is_write)>;
+using RdmaAuthorizer = InlineFn<Status(const RdmaKey& key, PoolId pool, uint64_t addr,
+                                       uint64_t size, bool is_write)>;
 
 class Node {
  public:

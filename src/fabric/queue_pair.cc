@@ -36,23 +36,27 @@ void bump(Network* net, NameId key, int64_t delta = 1) {
 
 QueuePair::QueuePair(Network* net, Endpoint local) : net_(net), local_(local) {
   FRACTOS_CHECK(net != nullptr);
+  self_ = net_->register_qp(this);
 }
 
-QueuePair::~QueuePair() { *alive_ = false; }
+QueuePair::~QueuePair() { net_->unregister_qp(self_); }
 
 void QueuePair::connect(QueuePair& a, QueuePair& b) {
-  FRACTOS_CHECK(a.peer_ == nullptr && b.peer_ == nullptr);
-  a.peer_ = &b;
-  b.peer_ = &a;
+  FRACTOS_CHECK(!a.connected_ && !b.connected_);
+  a.peer_ = b.self_;
+  a.remote_ = b.local_;
+  b.peer_ = a.self_;
+  b.remote_ = a.local_;
+  a.connected_ = b.connected_ = true;
 }
 
 Endpoint QueuePair::remote() const {
-  FRACTOS_CHECK(peer_ != nullptr);
-  return peer_->local_;
+  FRACTOS_CHECK(connected_);
+  return remote_;
 }
 
 void QueuePair::send(Traffic category, Payload payload) {
-  FRACTOS_CHECK(peer_ != nullptr);
+  FRACTOS_CHECK(connected_);
   if (severed_) {
     ++dropped_;
     bump(net_, qp_names().dropped);
@@ -61,17 +65,16 @@ void QueuePair::send(Traffic category, Payload payload) {
   if (!reliable()) {
     // Clean fabric or datagram service: one transfer, no protocol state. The dropped
     // callback only fires for sends eaten by node failure.
-    QueuePair* peer = peer_;
-    net_->send(local_, peer->local_, category, std::move(payload),
-               [peer, palive = peer->alive_](Payload bytes) {
-                 if (*palive) {
-                   peer->deliver(std::move(bytes));
+    net_->send(local_, remote_, category, std::move(payload),
+               [net = net_, peer = peer_](Payload bytes) {
+                 if (QueuePair* p = net->live_qp(peer)) {
+                   p->deliver(std::move(bytes));
                  }
                },
-               [this, alive = alive_]() {
-                 if (*alive) {
-                   ++dropped_;
-                   bump(net_, qp_names().dropped);
+               [net = net_, self = self_]() {
+                 if (QueuePair* q = net->live_qp(self)) {
+                   ++q->dropped_;
+                   bump(net, qp_names().dropped);
                  }
                });
     return;
@@ -95,13 +98,12 @@ void QueuePair::transmit(uint64_t seq) {
     bump(net_, qp_names().retransmits);
   }
 
-  QueuePair* peer = peer_;
   // `p.payload` is copied per transmission — a refcount bump, not a byte copy, so a burst of
   // retransmits of a 256 KiB frame costs nothing beyond the modeled wire time.
-  net_->send(local_, peer->local_, p.category, p.payload,
-             [peer, seq, palive = peer->alive_](Payload bytes) {
-               if (*palive) {
-                 peer->on_wire_data(seq, std::move(bytes));
+  net_->send(local_, remote_, p.category, p.payload,
+             [net = net_, peer = peer_, seq](Payload bytes) {
+               if (QueuePair* q = net->live_qp(peer)) {
+                 q->on_wire_data(seq, std::move(bytes));
                }
              });
   arm_retransmit(seq, p.attempts);
@@ -111,33 +113,43 @@ void QueuePair::arm_retransmit(uint64_t seq, uint32_t attempt) {
   // Exponential backoff, capped at 64x so a long outage retries at a steady cadence instead
   // of overshooting the budget horizon.
   const Duration delay = rto_ * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 6u));
-  net_->loop()->schedule_after(delay, [this, seq, attempt, alive = alive_]() {
-    if (!*alive || severed_) {
-      return;
+  net_->loop()->schedule_after(delay, [net = net_, self = self_, seq, attempt]() {
+    if (QueuePair* q = net->live_qp(self)) {
+      q->on_retransmit_timer(seq, attempt);
     }
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end() || it->second.attempts != attempt) {
-      return;  // ACKed meanwhile, or a newer timer owns this seq.
-    }
-    // Only head retries count toward the budget (RoCE retry_cnt: consecutive retries of the
-    // head WQE, reset on any ACK progress). A trailing entry is waiting out head-of-line
-    // recovery; severing on its attempt count would kill a healthy pair under a burst.
-    if (it == unacked_.begin() && ++consecutive_head_retries_ >= retry_budget_) {
-      exhaust_retries();
-      return;
-    }
-    transmit(seq);
   });
+}
+
+void QueuePair::on_retransmit_timer(uint64_t seq, uint32_t attempt) {
+  if (severed_) {
+    return;
+  }
+  auto it = unacked_.find(seq);
+  if (it == unacked_.end() || it->second.attempts != attempt) {
+    return;  // ACKed meanwhile, or a newer timer owns this seq.
+  }
+  // Only head retries count toward the budget (RoCE retry_cnt: consecutive retries of the
+  // head WQE, reset on any ACK progress). A trailing entry is waiting out head-of-line
+  // recovery; severing on its attempt count would kill a healthy pair under a burst.
+  if (it == unacked_.begin() && ++consecutive_head_retries_ >= retry_budget_) {
+    exhaust_retries();
+    return;
+  }
+  transmit(seq);
 }
 
 void QueuePair::exhaust_retries() {
   // RoCE RC retry_cnt exhaustion: the connection moves to the error state. Everything still
   // unACKed is lost.
+  drop_unacked();
+  net_->note_rc_exhausted();
+  sever();
+}
+
+void QueuePair::drop_unacked() {
   dropped_ += unacked_.size();
   bump(net_, qp_names().dropped, static_cast<int64_t>(unacked_.size()));
-  net_->note_rc_exhausted();
   unacked_.clear();
-  sever();
 }
 
 void QueuePair::on_wire_data(uint64_t seq, Payload payload) {
@@ -160,18 +172,14 @@ void QueuePair::on_wire_data(uint64_t seq, Payload payload) {
 }
 
 void QueuePair::send_ack(uint64_t cumulative) {
-  if (peer_ == nullptr) {
-    return;
-  }
   ++acks_sent_;
   bump(net_, qp_names().acks_sent);
-  QueuePair* peer = peer_;
   // One shared ACK frame for the lifetime of the program: every ACK aliases the same rep.
   static const Payload kAckFrame = Payload::zeros(kAckBytes);
-  net_->send(local_, peer->local_, Traffic::kControl, kAckFrame,
-             [peer, cumulative, palive = peer->alive_](Payload) {
-               if (*palive) {
-                 peer->on_ack(cumulative);
+  net_->send(local_, remote_, Traffic::kControl, kAckFrame,
+             [net = net_, peer = peer_, cumulative](Payload) {
+               if (QueuePair* q = net->live_qp(peer)) {
+                 q->on_ack(cumulative);
                }
              });
 }
@@ -211,15 +219,13 @@ void QueuePair::sever() {
     return;
   }
   severed_ = true;
-  dropped_ += unacked_.size();
-  bump(net_, qp_names().dropped, static_cast<int64_t>(unacked_.size()));
-  unacked_.clear();
-  if (peer_ != nullptr && !peer_->severed_) {
-    QueuePair* peer = peer_;
-    const Duration delay = net_->wire_latency(local_, peer->local_);
-    net_->loop()->schedule_after(delay, [peer, palive = peer->alive_]() {
-      if (*palive) {
-        peer->peer_severed();
+  drop_unacked();
+  const QueuePair* peer = connected_ ? net_->live_qp(peer_) : nullptr;
+  if (peer != nullptr && !peer->severed_) {
+    const Duration delay = net_->wire_latency(local_, remote_);
+    net_->loop()->schedule_after(delay, [net = net_, peer = peer_]() {
+      if (QueuePair* q = net->live_qp(peer)) {
+        q->peer_severed();
       }
     });
   }
@@ -230,9 +236,7 @@ void QueuePair::peer_severed() {
     return;
   }
   severed_ = true;
-  dropped_ += unacked_.size();
-  bump(net_, qp_names().dropped, static_cast<int64_t>(unacked_.size()));
-  unacked_.clear();
+  drop_unacked();
   if (on_severed_ != nullptr) {
     on_severed_();
   }

@@ -16,24 +16,27 @@
 // retransmits unACKed messages with exponential backoff. Exhausting the retry budget severs
 // the pair — RoCE RC retry_cnt behavior. kDatagram pairs (heartbeats) stay fire-and-forget
 // even on a lossy fabric, matching UD semantics.
+//
+// A pair may be destroyed while work it parked in the event loop is pending (Controller::
+// restart drops channels mid-simulation): that work names its pair by its slot in the
+// Network's live-pair table and is skipped once the pair is gone. Pairs are built and
+// destroyed only outside run_parallel().
 
 #ifndef SRC_FABRIC_QUEUE_PAIR_H_
 #define SRC_FABRIC_QUEUE_PAIR_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
-#include <vector>
 
 #include "src/fabric/network.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
 class QueuePair {
  public:
-  using ReceiveHandler = std::function<void(Payload)>;
-  using SeveredHandler = std::function<void()>;
+  using ReceiveHandler = InlineFn<void(Payload)>;
+  using SeveredHandler = InlineFn<void()>;
 
   // kReliable = RC service (retransmit on a lossy fabric); kDatagram = UD service (lossy
   // fabric may silently eat messages — what heartbeats want, so monitor false positives are
@@ -53,7 +56,7 @@ class QueuePair {
 
   Endpoint local() const { return local_; }
   Endpoint remote() const;
-  bool connected() const { return peer_ != nullptr; }
+  bool connected() const { return connected_; }
   bool severed() const { return severed_; }
 
   void set_receive_handler(ReceiveHandler handler) { on_receive_ = std::move(handler); }
@@ -96,7 +99,9 @@ class QueuePair {
   bool reliable() const { return mode_ == Mode::kReliable && net_->lossy(); }
   void transmit(uint64_t seq);
   void arm_retransmit(uint64_t seq, uint32_t attempt);
+  void on_retransmit_timer(uint64_t seq, uint32_t attempt);
   void exhaust_retries();
+  void drop_unacked();  // counts everything unACKed as dropped and forgets it
   void on_wire_data(uint64_t seq, Payload payload);
   void send_ack(uint64_t cumulative);
   void on_ack(uint64_t cumulative);
@@ -105,7 +110,12 @@ class QueuePair {
 
   Network* net_;
   Endpoint local_;
-  QueuePair* peer_ = nullptr;
+  uint32_t self_;      // this pair's slot in the Network's live-pair table
+  uint32_t peer_ = 0;  // the peer's slot, once connected
+  // The peer's endpoint outlives the peer: what a survivor still sends is charged on the wire
+  // and skipped on arrival.
+  Endpoint remote_;
+  bool connected_ = false;
   ReceiveHandler on_receive_;
   SeveredHandler on_severed_;
   bool severed_ = false;
@@ -128,11 +138,6 @@ class QueuePair {
   uint64_t retransmits_ = 0;
   uint64_t duplicates_suppressed_ = 0;
   uint64_t acks_sent_ = 0;
-
-  // Guards every callback the pair parks in the event loop (deliveries, ACKs, retransmit
-  // timers, sever propagation): Controller::restart() destroys channels mid-simulation, and
-  // a timer firing into a destroyed pair must be a no-op, not a use-after-free.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace fractos

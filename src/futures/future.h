@@ -28,7 +28,6 @@
 #define SRC_FUTURES_FUTURE_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -37,6 +36,7 @@
 
 #include "src/base/assert.h"
 #include "src/base/result.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/span.h"
 
 namespace fractos {
@@ -55,7 +55,7 @@ namespace internal {
 template <typename T>
 struct FutureState {
   std::optional<T> value;
-  std::function<void(T&&)> continuation;
+  InlineFn<void(T&&)> continuation;
   bool consumed = false;
   bool broken = false;    // every Promise died without set()
   int promise_refs = 0;   // live Promise handles sharing this state
@@ -87,7 +87,7 @@ inline constexpr int kMaxSyncContinuationDepth = 64;
 
 struct Trampoline {
   int depth = 0;
-  std::deque<std::function<void()>> deferred;
+  std::deque<InlineFn<void()>> deferred;
 };
 
 inline Trampoline& trampoline() {
@@ -99,13 +99,12 @@ inline Trampoline& trampoline() {
 }
 
 template <typename T>
-void deliver(std::function<void(T&&)> cb, T value) {
+void deliver(InlineFn<void(T&&)> cb, T value) {
   Trampoline& t = trampoline();
   if (t.depth >= kMaxSyncContinuationDepth) {
-    // Too deep to run inline: defer. The value moves through a shared_ptr because
-    // std::function requires copyable captures.
+    // Too deep to run inline: defer.
     t.deferred.push_back(
-        [cb = std::move(cb), v = std::make_shared<T>(std::move(value))]() { cb(std::move(*v)); });
+        [cb = std::move(cb), v = std::move(value)]() mutable { cb(std::move(v)); });
     return;
   }
   ++t.depth;
@@ -131,7 +130,6 @@ void break_promise(FutureState<T>& state) {
   if constexpr (IsResult<T>::value) {
     if (state.continuation != nullptr) {
       auto cb = std::move(state.continuation);
-      state.continuation = nullptr;
       state.consumed = true;
       deliver<T>(std::move(cb), T(ErrorCode::kBrokenPromise));
     } else {
@@ -176,7 +174,7 @@ class Future {
   // Attaches the single continuation; runs immediately if the value is already set.
   // CHECK-fails on a future whose promises all died without a value (non-Result types only;
   // Result-typed broken futures deliver kBrokenPromise like any other error).
-  void on_ready(std::function<void(T&&)> cb) {
+  void on_ready(InlineFn<void(T&&)> cb) {
     FRACTOS_CHECK(state_ != nullptr);
     FRACTOS_CHECK(!state_->consumed);
     FRACTOS_CHECK(state_->continuation == nullptr);
@@ -264,7 +262,6 @@ class Promise {
     FRACTOS_CHECK_MSG(!state_->consumed, "Promise::set after the value was already delivered");
     if (state_->continuation != nullptr) {
       auto cb = std::move(state_->continuation);
-      state_->continuation = nullptr;
       state_->consumed = true;
       internal::deliver<T>(std::move(cb), std::move(value));
     } else {

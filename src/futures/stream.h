@@ -30,13 +30,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/base/assert.h"
 #include "src/base/result.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -68,8 +68,8 @@ class Stream {
     uint64_t length_;
   };
 
-  using Body = std::function<void(const Chunk&)>;
-  using Done = std::function<void(Status)>;
+  using Body = InlineFn<void(const Chunk&)>;
+  using Done = InlineFn<void(Status)>;
 
   static void run(const Shape& shape, Body body, Done on_done) {
     std::shared_ptr<Stream> s(new Stream(shape, std::move(body), std::move(on_done)));
@@ -132,8 +132,7 @@ class Stream {
       return;  // already reported
     }
     if (failed_ ? in_flight_ == 0 : finished_ == shape_.total) {
-      Done report = std::move(on_done_);
-      on_done_ = nullptr;
+      Done report = std::move(on_done_);  // leaves on_done_ empty
       report(failed_ ? Status(error_) : ok_status());
     }
   }

@@ -26,7 +26,6 @@
 #define SRC_SERVICES_BLOCK_ADAPTOR_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>

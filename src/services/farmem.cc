@@ -59,7 +59,7 @@ void FarMemClient::note_access(uint64_t line) {
 
 void FarMemClient::complete_from(const std::vector<uint8_t>& buf, uint64_t base,
                                  uint64_t offset, uint64_t size,
-                                 std::function<void(Result<std::vector<uint8_t>>)>& done) {
+                                 InlineFn<void(Result<std::vector<uint8_t>>)>& done) {
   std::vector<uint8_t> out(buf.begin() + static_cast<ptrdiff_t>(offset - base),
                            buf.begin() + static_cast<ptrdiff_t>(offset - base + size));
   // Hits complete through the loop too, so caller-visible ordering never depends on hit/miss.
@@ -69,7 +69,7 @@ void FarMemClient::complete_from(const std::vector<uint8_t>& buf, uint64_t base,
 }
 
 void FarMemClient::read(uint64_t offset, uint64_t size,
-                        std::function<void(Result<std::vector<uint8_t>>)> done) {
+                        InlineFn<void(Result<std::vector<uint8_t>>)> done) {
   FRACTOS_CHECK(size > 0 && offset + size <= seg_size_);
   const uint64_t line = offset / cfg_.line_bytes * cfg_.line_bytes;
   FRACTOS_CHECK_MSG(offset + size <= line + cfg_.line_bytes,
@@ -130,100 +130,66 @@ void FarMemClient::read(uint64_t offset, uint64_t size,
   }
 
   if (cfg_.dual_granularity) {
-    fetch_line(line, offset, size, std::move(done));
+    fetch(/*page_grain=*/false, line, offset, size, std::move(done));
   } else {
-    fetch_page(page, offset, size, std::move(done));
+    fetch(/*page_grain=*/true, page, offset, size, std::move(done));
   }
   if (arm) {
     maybe_prefetch(next_page);
   }
 }
 
-void FarMemClient::fetch_line(uint64_t line, uint64_t offset, uint64_t size,
-                              std::function<void(Result<std::vector<uint8_t>>)> done) {
+void FarMemClient::fetch(bool page_grain, uint64_t base, uint64_t offset, uint64_t size,
+                         InlineFn<void(Result<std::vector<uint8_t>>)> done) {
+  const uint64_t bytes = page_grain ? cfg_.page_bytes : cfg_.line_bytes;
   ++stats_.demand_fetches;
-  stats_.hot_bytes += cfg_.line_bytes;
+  (page_grain ? stats_.bulk_bytes : stats_.hot_bytes) += bytes;
   SpanTracer* tr = span_tracing_active() ? sys_->loop().span_tracer() : nullptr;
   const FarMemNames& n = farmem_names();
-  const uint64_t span =
-      tr != nullptr ? tr->begin(n.actor, SpanKind::kFarMem, n.line_fetch, sys_->loop().now())
-                    : 0;
+  const uint64_t span = tr != nullptr ? tr->begin(n.actor, SpanKind::kFarMem,
+                                                  page_grain ? n.page_fetch : n.line_fetch,
+                                                  sys_->loop().now())
+                                      : 0;
   // Nest the translation and RDMA legs under the fault span (begin() does not install).
   std::optional<SpanScope> scope;
   if (span != 0) {
     scope.emplace(tr->context_of(span));
   }
-  translate_then([this, line, offset, size, span, done = std::move(done)]() mutable {
-    sys_->net().rdma_read(
-        client_ep_, mem_node_, rkey_, mem_pool_, mem_addr_ + line, cfg_.line_bytes,
-        [this, line, offset, size, span,
-         done = std::move(done)](Result<Payload>&& r) mutable {
-          SpanTracer* t2 = span_tracing_active() ? sys_->loop().span_tracer() : nullptr;
-          if (!r.ok()) {
-            if (t2 != nullptr) {
-              t2->end_error(span, sys_->loop().now(), "rdma-failed");
-            }
-            done(r.error());
-            return;
-          }
-          const Payload& p = r.value();
-          install_line(line, std::vector<uint8_t>(p.data(), p.data() + p.size()));
-          if (t2 != nullptr) {
-            t2->end(span, sys_->loop().now());
-          }
-          std::vector<uint8_t> out(p.data() + (offset - line),
-                                   p.data() + (offset - line + size));
-          done(std::move(out));
-        },
-        LinkClass::kHot);
-  });
-}
-
-void FarMemClient::fetch_page(uint64_t page, uint64_t offset, uint64_t size,
-                              std::function<void(Result<std::vector<uint8_t>>)> done) {
-  ++stats_.demand_fetches;
-  stats_.bulk_bytes += cfg_.page_bytes;
-  SpanTracer* tr = span_tracing_active() ? sys_->loop().span_tracer() : nullptr;
-  const FarMemNames& n = farmem_names();
-  const uint64_t span =
-      tr != nullptr ? tr->begin(n.actor, SpanKind::kFarMem, n.page_fetch, sys_->loop().now())
-                    : 0;
-  std::optional<SpanScope> scope;
-  if (span != 0) {
-    scope.emplace(tr->context_of(span));
+  if (page_grain) {
+    pending_pages_[base];  // later faults on this page wait instead of double-fetching
   }
-  pending_pages_[page];  // later faults on this page wait instead of double-fetching
-  translate_then([this, page, offset, size, span, done = std::move(done)]() mutable {
+  translate_then([this, page_grain, base, bytes, offset, size, span,
+                  done = std::move(done)]() mutable {
     sys_->net().rdma_read(
-        client_ep_, mem_node_, rkey_, mem_pool_, mem_addr_ + page, cfg_.page_bytes,
-        [this, page, offset, size, span,
+        client_ep_, mem_node_, rkey_, mem_pool_, mem_addr_ + base, bytes,
+        [this, page_grain, base, offset, size, span,
          done = std::move(done)](Result<Payload>&& r) mutable {
-          std::vector<std::function<void()>> waiters = std::move(pending_pages_[page]);
-          pending_pages_.erase(page);
+          std::vector<InlineFn<void()>> waiters;
+          if (page_grain) {
+            waiters = std::move(pending_pages_[base]);
+            pending_pages_.erase(base);
+          }
           SpanTracer* t2 = span_tracing_active() ? sys_->loop().span_tracer() : nullptr;
           if (!r.ok()) {
             if (t2 != nullptr) {
               t2->end_error(span, sys_->loop().now(), "rdma-failed");
             }
             done(r.error());
-            for (auto& w : waiters) {
-              w();
+          } else {
+            const Payload& p = r.value();
+            install(page_grain, base, std::vector<uint8_t>(p.data(), p.data() + p.size()));
+            if (t2 != nullptr) {
+              t2->end(span, sys_->loop().now());
             }
-            return;
+            std::vector<uint8_t> out(p.data() + (offset - base),
+                                     p.data() + (offset - base + size));
+            done(std::move(out));
           }
-          const Payload& p = r.value();
-          install_page(page, std::vector<uint8_t>(p.data(), p.data() + p.size()));
-          if (t2 != nullptr) {
-            t2->end(span, sys_->loop().now());
-          }
-          std::vector<uint8_t> out(p.data() + (offset - page),
-                                   p.data() + (offset - page + size));
-          done(std::move(out));
           for (auto& w : waiters) {
             w();
           }
         },
-        LinkClass::kBulk);
+        page_grain ? LinkClass::kBulk : LinkClass::kHot);
   });
 }
 
@@ -244,11 +210,11 @@ void FarMemClient::maybe_prefetch(uint64_t page) {
     sys_->net().rdma_read(
         client_ep_, mem_node_, rkey_, mem_pool_, mem_addr_ + page, cfg_.page_bytes,
         [this, page](Result<Payload>&& r) mutable {
-          std::vector<std::function<void()>> waiters = std::move(pending_pages_[page]);
+          std::vector<InlineFn<void()>> waiters = std::move(pending_pages_[page]);
           pending_pages_.erase(page);
           if (r.ok()) {
             const Payload& p = r.value();
-            install_page(page, std::vector<uint8_t>(p.data(), p.data() + p.size()));
+            install(/*page_grain=*/true, page, std::vector<uint8_t>(p.data(), p.data() + p.size()));
           }
           for (auto& w : waiters) {
             w();
@@ -258,32 +224,21 @@ void FarMemClient::maybe_prefetch(uint64_t page) {
   });
 }
 
-void FarMemClient::install_line(uint64_t line, std::vector<uint8_t> bytes) {
-  auto [it, inserted] = lines_.try_emplace(line);
+void FarMemClient::install(bool page_grain, uint64_t base, std::vector<uint8_t> bytes) {
+  auto& cache = page_grain ? pages_ : lines_;
+  std::deque<uint64_t>& fifo = page_grain ? page_fifo_ : line_fifo_;
+  auto [it, inserted] = cache.try_emplace(base);
   it->second = std::move(bytes);
   if (inserted) {
-    line_fifo_.push_back(line);
-    if (line_fifo_.size() > cfg_.line_slots) {
-      lines_.erase(line_fifo_.front());
-      line_fifo_.pop_front();
+    fifo.push_back(base);
+    if (fifo.size() > (page_grain ? cfg_.page_slots : cfg_.line_slots)) {
+      cache.erase(fifo.front());
+      fifo.pop_front();
     }
   }
 }
 
-void FarMemClient::install_page(uint64_t page, std::vector<uint8_t> bytes) {
-  auto [it, inserted] = pages_.try_emplace(page);
-  it->second = std::move(bytes);
-  if (inserted) {
-    page_fifo_.push_back(page);
-    if (page_fifo_.size() > cfg_.page_slots) {
-      pages_.erase(page_fifo_.front());
-      page_fifo_.pop_front();
-    }
-  }
-}
-
-void FarMemClient::write(uint64_t offset, std::vector<uint8_t> bytes,
-                         std::function<void(Status)> done) {
+void FarMemClient::write(uint64_t offset, std::vector<uint8_t> bytes, InlineFn<void(Status)> done) {
   const uint64_t size = bytes.size();
   FRACTOS_CHECK(size > 0 && offset + size <= seg_size_);
   const uint64_t line = offset / cfg_.line_bytes * cfg_.line_bytes;
@@ -336,7 +291,7 @@ void FarMemClient::write(uint64_t offset, std::vector<uint8_t> bytes,
   });
 }
 
-void FarMemClient::translate_then(std::function<void()> issue) {
+void FarMemClient::translate_then(InlineFn<void()> issue) {
   SpanTracer* tr = span_tracing_active() ? sys_->loop().span_tracer() : nullptr;
   EventLoop& loop = sys_->loop();
   const FarMemNames& n = farmem_names();
@@ -357,21 +312,30 @@ void FarMemClient::translate_then(std::function<void()> issue) {
       tr != nullptr ? tr->begin(n.actor, SpanKind::kTranslation, n.xlate, loop.now()) : 0;
   const Endpoint owner{mem_node_, loc};
   // Control round trip to the owner's translation agent (a header-sized lookup each way),
-  // with the lookup itself charged on the owning core — host CPU or SmartNIC ARM.
+  // with the lookup itself charged on the owning core — host CPU or SmartNIC ARM. A lossy
+  // fabric may deliver the lookup twice; the second arrival finds `issue` already taken and
+  // is dropped, as a receiver drops a duplicate datagram.
   sys_->net().send(client_ep_, owner, Traffic::kControl, Payload::zeros(16),
                    [this, owner, loc, cost, span, issue = std::move(issue)](Payload) mutable {
+                     if (issue == nullptr) {
+                       return;
+                     }
                      sys_->net().node(mem_node_).context(loc).run(
                          cost, [this, owner, span, issue = std::move(issue)]() mutable {
                            sys_->net().send(
                                owner, client_ep_, Traffic::kControl, Payload::zeros(16),
                                [this, span, issue = std::move(issue)](Payload) mutable {
+                                 if (issue == nullptr) {
+                                   return;
+                                 }
                                  if (SpanTracer* t2 = span_tracing_active()
                                                          ? sys_->loop().span_tracer()
                                                          : nullptr;
                                      t2 != nullptr) {
                                    t2->end(span, sys_->loop().now());
                                  }
-                                 issue();
+                                 InlineFn<void()> run = std::move(issue);
+                                 run();
                                });
                          });
                    });

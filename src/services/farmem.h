@@ -33,12 +33,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/costs.h"
 #include "src/core/system.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -81,12 +81,11 @@ class FarMemClient {
   // Reads [offset, offset+size) — the range must lie within one cacheline (the CPU-visible
   // access granularity this client models). Completes asynchronously, cache hits included,
   // so caller-side ordering never depends on hit/miss.
-  void read(uint64_t offset, uint64_t size,
-            std::function<void(Result<std::vector<uint8_t>>)> done);
+  void read(uint64_t offset, uint64_t size, InlineFn<void(Result<std::vector<uint8_t>>)> done);
 
   // Write-through: updates any cached copies, then RDMA-writes the remote segment. The range
   // must lie within one cacheline.
-  void write(uint64_t offset, std::vector<uint8_t> bytes, std::function<void(Status)> done);
+  void write(uint64_t offset, std::vector<uint8_t> bytes, InlineFn<void(Status)> done);
 
   const Stats& stats() const { return stats_; }
   const Config& config() const { return cfg_; }
@@ -95,21 +94,20 @@ class FarMemClient {
   size_t cached_pages() const { return pages_.size(); }
 
  private:
-  void fetch_line(uint64_t line, uint64_t offset, uint64_t size,
-                  std::function<void(Result<std::vector<uint8_t>>)> done);
-  void fetch_page(uint64_t page, uint64_t offset, uint64_t size,
-                  std::function<void(Result<std::vector<uint8_t>>)> done);
+  // Demand fetch of the line or page at `base` that holds [offset, offset+size).
+  void fetch(bool page_grain, uint64_t base, uint64_t offset, uint64_t size,
+             InlineFn<void(Result<std::vector<uint8_t>>)> done);
   void maybe_prefetch(uint64_t page);
-  void install_line(uint64_t line, std::vector<uint8_t> bytes);
-  void install_page(uint64_t page, std::vector<uint8_t> bytes);
+  // Caches a fetched line or page, evicting the oldest one beyond the configured slots.
+  void install(bool page_grain, uint64_t base, std::vector<uint8_t> bytes);
 
   // Runs the placement-dependent translation step, then `issue` (under the caller's ambient
   // span context, so the fetch's RDMA legs nest correctly).
-  void translate_then(std::function<void()> issue);
+  void translate_then(InlineFn<void()> issue);
 
   // Serves `done` with bytes copied out of `buf` (whose base segment offset is `base`).
   void complete_from(const std::vector<uint8_t>& buf, uint64_t base, uint64_t offset,
-                     uint64_t size, std::function<void(Result<std::vector<uint8_t>>)>& done);
+                     uint64_t size, InlineFn<void(Result<std::vector<uint8_t>>)>& done);
 
   void note_access(uint64_t line);
 
@@ -132,7 +130,7 @@ class FarMemClient {
   std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
   std::deque<uint64_t> page_fifo_;
   // In-flight page fetches (prefetch or baseline fault): arrival runs the waiters in order.
-  std::unordered_map<uint64_t, std::vector<std::function<void()>>> pending_pages_;
+  std::unordered_map<uint64_t, std::vector<InlineFn<void()>>> pending_pages_;
 
   // Sequential-streak detector.
   uint64_t last_line_ = ~0ULL;

@@ -121,15 +121,15 @@ void FsService::handle_create(Process::Received r) {
   const uint64_t n_extents = (size + params_.extent_bytes - 1) / params_.extent_bytes;
   // Allocate one block-device volume per extent, sequentially (plain member recursion — no
   // self-referential lambdas).
-  auto file = std::make_shared<File>();
-  file->size = size;
+  File file;
+  file.size = size;
   create_extents(std::move(file), *name, size, n_extents, 0, reply);
 }
 
-void FsService::create_extents(std::shared_ptr<File> file, const std::string& name,
-                               uint64_t size, uint64_t n_extents, uint64_t i, CapId reply) {
+void FsService::create_extents(File file, const std::string& name, uint64_t size,
+                               uint64_t n_extents, uint64_t i, CapId reply) {
   if (i == n_extents) {
-    files_[name] = *file;
+    files_[name] = std::move(file);
     proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0));
     return;
   }
@@ -142,7 +142,7 @@ void FsService::create_extents(std::shared_ptr<File> file, const std::string& na
           proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
           return;
         }
-        file->extents.push_back(v.value());
+        file.extents.push_back(v.value());
         create_extents(std::move(file), name, size, n_extents, i + 1, reply);
       });
 }
@@ -434,7 +434,7 @@ void FsService::run_chunk(std::shared_ptr<FsIo> io, const Stream::Chunk& c, size
 }
 
 void FsService::block_rpc(size_t slot_idx, CapId ep, uint64_t eoff, uint64_t len,
-                          std::function<void(Status)> done) {
+                          InlineFn<void(Status)> done) {
   Slot& sl = slots_[slot_idx];
   Promise<Status> block_done;
   block_done.future().on_ready(std::move(done));
@@ -507,21 +507,21 @@ void FsService::handle_unlink(Process::Received r) {
     proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
     return;
   }
-  const File file = fit->second;
+  std::vector<BlockClient::Volume> extents = std::move(fit->second.extents);
   files_.erase(fit);
 
   // Destroy the backing volumes: the block adaptor revokes the per-volume endpoints, which
   // recursively kills every cached DAX child and every client-held delegation of them.
-  destroy_extents(std::make_shared<std::vector<BlockClient::Volume>>(file.extents), 0, reply);
+  destroy_extents(std::move(extents), 0, reply);
 }
 
-void FsService::destroy_extents(std::shared_ptr<std::vector<BlockClient::Volume>> extents,
-                                size_t i, CapId reply) {
-  if (i == extents->size()) {
+void FsService::destroy_extents(std::vector<BlockClient::Volume> extents, size_t i,
+                                CapId reply) {
+  if (i == extents.size()) {
     proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0));
     return;
   }
-  BlockClient::destroy(*proc_, (*extents)[i])
+  BlockClient::destroy(*proc_, extents[i])
       .on_ready([this, extents = std::move(extents), i, reply](Status) mutable {
         destroy_extents(std::move(extents), i + 1, reply);
       });

@@ -31,7 +31,6 @@
 #ifndef SRC_SERVICES_FS_H_
 #define SRC_SERVICES_FS_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,6 +41,7 @@
 #include "src/futures/slot_pool.h"
 #include "src/futures/stream.h"
 #include "src/services/block_adaptor.h"
+#include "src/sim/inline_fn.h"
 
 namespace fractos {
 
@@ -100,12 +100,11 @@ class FsService {
   void init_endpoints(CapId block_mgmt);
 
   void handle_create(Process::Received r);
-  void create_extents(std::shared_ptr<File> file, const std::string& name, uint64_t size,
-                      uint64_t n_extents, uint64_t i, CapId reply);
+  void create_extents(File file, const std::string& name, uint64_t size, uint64_t n_extents,
+                      uint64_t i, CapId reply);
   void handle_open(Process::Received r);
   void handle_unlink(Process::Received r);
-  void destroy_extents(std::shared_ptr<std::vector<BlockClient::Volume>> extents, size_t i,
-                       CapId reply);
+  void destroy_extents(std::vector<BlockClient::Volume> extents, size_t i, CapId reply);
   void handle_io(uint32_t open_id, bool is_write, Process::Received r);
   void handle_close(uint32_t open_id, Process::Received r);
 
@@ -119,7 +118,7 @@ class FsService {
   // Sends a block read/write of `len` bytes at extent offset `eoff` through slot `slot_idx`;
   // `done` runs with the adaptor's completion, or with the error of a rejected invoke.
   void block_rpc(size_t slot_idx, CapId ep, uint64_t eoff, uint64_t len,
-                 std::function<void(Status)> done);
+                 InlineFn<void(Status)> done);
   void fail_op(const Process::Received& r, ErrorCode code);
 
   // Moves one chunk of a streamed FS-mode I/O through staging slot `slot_idx`.

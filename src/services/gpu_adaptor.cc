@@ -40,7 +40,7 @@ GpuAdaptor::GpuAdaptor(System* sys, Controller& controller, SimGpu* gpu)
 }
 
 void GpuAdaptor::register_kernel(const std::string& name, SimGpu::Kernel kernel) {
-  kernel_registry_[name] = std::move(kernel);
+  kernel_registry_[name] = gpu_->load_kernel(name, std::move(kernel));
 }
 
 void GpuAdaptor::handle_init(Process::Received r) {
@@ -103,8 +103,8 @@ void GpuAdaptor::handle_alloc(uint32_t ctx_id, Process::Received r) {
         }
         cit->second.handed_out.push_back(mem.value());
         cit->second.buffers.push_back(device_addr);
-        proc_->request_invoke(reply,
-                              Process::Args{}.imm_u64(0, 0).imm_u64(8, device_addr).cap(mem.value()));
+        proc_->request_invoke(
+            reply, Process::Args{}.imm_u64(0, 0).imm_u64(8, device_addr).cap(mem.value()));
       });
 }
 
@@ -115,11 +115,12 @@ void GpuAdaptor::handle_load(uint32_t ctx_id, Process::Received r) {
   }
   const CapId reply = r.cap(r.num_caps() - 1);
   auto name = r.imm_str(0);
-  if (!name.has_value() || !kernel_registry_.contains(*name)) {
+  auto kit = name.has_value() ? kernel_registry_.find(*name) : kernel_registry_.end();
+  if (kit == kernel_registry_.end()) {
     proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
     return;
   }
-  const SimGpu::KernelId kid = gpu_->load_kernel(*name, kernel_registry_[*name]);
+  const SimGpu::KernelId kid = kit->second;
   proc_->serve({}, [this, ctx_id, kid](Process::Received rr) {
     handle_invoke(ctx_id, kid, std::move(rr));
   }).on_ready([this, ctx_id, reply](Result<CapId>&& ep) {
@@ -156,43 +157,31 @@ void GpuAdaptor::handle_invoke(uint32_t ctx_id, SimGpu::KernelId kernel, Process
   const CapId error = reqs[reqs.size() - 1];
   const std::vector<uint64_t> args = unpack_args(r.imms);
 
-  gpu_->launch(kernel, args, [this, mems, success, error](Status s) {
+  gpu_->launch(kernel, args, [this, mems = std::move(mems), success, error](Status s) mutable {
     if (!s.ok()) {
       proc_->request_invoke(error, Process::Args{}.imm_u64(0, static_cast<uint64_t>(s.error())));
       return;
     }
-    if (mems.empty()) {
-      proc_->request_invoke(success);
-      return;
-    }
-    // Result copy-back: chain the (src, dst) pairs, then signal success.
-    auto copies = std::make_shared<std::vector<std::pair<CapId, CapId>>>();
-    for (size_t i = 0; i + 1 < mems.size(); i += 2) {
-      copies->emplace_back(mems[i], mems[i + 1]);
-    }
-    auto step = std::make_shared<std::function<void(size_t)>>();
-    *step = [this, copies, success, error,
-             weak_step = std::weak_ptr<std::function<void(size_t)>>(step)](size_t i) {
-      auto step = weak_step.lock();
-      if (!step) {
-        return;
-      }
-      if (i == copies->size()) {
-        proc_->request_invoke(success);
-        return;
-      }
-      proc_->memory_copy((*copies)[i].first, (*copies)[i].second)
-          .on_ready([this, step, i, error](Status cs) {
-            if (!cs.ok()) {
-              proc_->request_invoke(error,
-                                    Process::Args{}.imm_u64(0, static_cast<uint64_t>(cs.error())));
-              return;
-            }
-            (*step)(i + 1);
-          });
-    };
-    (*step)(0);
+    copy_back(std::move(mems), 0, success, error);
   });
+}
+
+void GpuAdaptor::copy_back(std::vector<CapId> mems, size_t i, CapId success, CapId error) {
+  if (i == mems.size()) {
+    proc_->request_invoke(success);
+    return;
+  }
+  const CapId src = mems[i];
+  const CapId dst = mems[i + 1];
+  proc_->memory_copy(src, dst).on_ready(
+      [this, mems = std::move(mems), i, success, error](Status cs) mutable {
+        if (!cs.ok()) {
+          proc_->request_invoke(error,
+                                Process::Args{}.imm_u64(0, static_cast<uint64_t>(cs.error())));
+          return;
+        }
+        copy_back(std::move(mems), i + 2, success, error);
+      });
 }
 
 void GpuAdaptor::handle_cleanup(uint32_t ctx_id, Process::Received r) {
@@ -206,7 +195,9 @@ void GpuAdaptor::handle_cleanup(uint32_t ctx_id, Process::Received r) {
   }
   Context ctx = it->second;
   contexts_.erase(it);
-  gpu_->destroy_context(ctx.gpu_ctx);
+  // The id came from contexts_, so the GPU must know it: kNotFound is an internal bug.
+  const Status destroyed = gpu_->destroy_context(ctx.gpu_ctx);
+  FRACTOS_CHECK(destroyed.ok());
 
   // Revoke everything handed out plus the per-context endpoints: all delegated copies die.
   std::vector<Future<Status>> revokes;

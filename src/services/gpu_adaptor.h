@@ -41,7 +41,9 @@ class GpuAdaptor {
   CapId init_endpoint() const { return init_ep_; }
   SimGpu& gpu() { return *gpu_; }
 
-  // Host-side kernel registry (stands for the CUDA module the driver would load).
+  // Host-side kernel registry (stands for the CUDA module the driver would load). The kernel
+  // is loaded into the GPU once, here; each context's load request hands out an endpoint
+  // that launches it.
   void register_kernel(const std::string& name, SimGpu::Kernel kernel);
 
   size_t num_contexts() const { return contexts_.size(); }
@@ -60,13 +62,16 @@ class GpuAdaptor {
   void handle_alloc(uint32_t ctx_id, Process::Received r);
   void handle_load(uint32_t ctx_id, Process::Received r);
   void handle_invoke(uint32_t ctx_id, SimGpu::KernelId kernel, Process::Received r);
+  // Result copy-back after a launch: copies the (src, dst) pairs mems[i], mems[i + 1], ...
+  // in order, then invokes `success`; the first failed copy invokes `error` instead.
+  void copy_back(std::vector<CapId> mems, size_t i, CapId success, CapId error);
   void handle_cleanup(uint32_t ctx_id, Process::Received r);
 
   System* sys_;
   Process* proc_;
   SimGpu* gpu_;
   CapId init_ep_ = kInvalidCap;
-  std::unordered_map<std::string, SimGpu::Kernel> kernel_registry_;
+  std::unordered_map<std::string, SimGpu::KernelId> kernel_registry_;
   std::unordered_map<uint32_t, Context> contexts_;
   uint32_t next_ctx_ = 1;
 };

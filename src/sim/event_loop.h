@@ -69,7 +69,7 @@ class RackScope {
 
 class EventLoop {
  public:
-  using Callback = InlineFn;
+  using Callback = InlineFn<void()>;
 
   EventLoop();
   EventLoop(const EventLoop&) = delete;
@@ -100,8 +100,8 @@ class EventLoop {
   uint64_t run(uint64_t max_steps = UINT64_MAX);
 
   // Runs events until `pred()` holds (checked after every event) or the queue drains.
-  // Returns true iff the predicate was satisfied. `pred` is invoked directly (no
-  // std::function indirection), so hot soak loops pay one inlineable call per event.
+  // Returns true iff the predicate was satisfied. `pred` is invoked directly (no type-erased
+  // indirection), so hot soak loops pay one inlineable call per event.
   // In sharded mode this runs cooperatively on the calling thread (exact canonical order),
   // which is what System::await and all setup-phase code use.
   template <typename Pred>

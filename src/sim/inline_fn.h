@@ -1,14 +1,21 @@
-// InlineFn: the event loop's callback type — a move-only, type-erased void() callable tuned
-// for the scheduler hot path.
+// InlineFn<R(Args...)>: the one callback type of the simulator — a move-only, type-erased
+// callable tuned for the scheduler hot path. The engine's events, fabric deliveries, queue
+// pair and channel handlers, future continuations and service completions all use it.
 //
-// std::function costs the hot path twice: callables larger than its tiny SBO (16 bytes on
-// libstdc++) heap-allocate on every schedule, and its copyability requirement forbids
-// capturing move-only state (a Payload handle, another InlineFn). InlineFn instead:
+// A general-purpose copyable wrapper costs the hot path twice: callables larger than a tiny
+// small-buffer (16 bytes on libstdc++) heap-allocate on every construction, and requiring
+// copyability forbids capturing move-only state (a Payload handle, another InlineFn).
+// InlineFn instead:
 //   * stores callables up to kInlineBytes directly inside the object (no allocation at all
 //     for the common `[this]`/small-capture timers), and
 //   * parks larger callables in fixed-size blocks recycled through a freelist, so a steady
 //     state soak allocates nothing per event no matter the capture size. Callables larger
 //     than a pool block (rare) fall back to plain new/delete.
+//
+// operator() is const and invokes the stored callable as a non-const lvalue, so a stateful
+// (`mutable`) lambda and a stateless one are wrapped alike. An InlineFn is empty when
+// default-constructed, built from nullptr, reset, or moved from; calling an empty one is
+// undefined.
 //
 // The freelist is per-thread (thread_local), so sharded parallel runs (DESIGN.md §4j) stay
 // lock-free: a callback allocated on one shard thread and destroyed on another simply
@@ -66,27 +73,37 @@ inline void pool_free(void* block) {
   }
 }
 
+template <typename D>
+constexpr bool fits_pool_block() {
+  return kPoolBlockBytes >= sizeof(D) && alignof(D) <= alignof(std::max_align_t);
+}
+
 }  // namespace internal_inline_fn
 
-class InlineFn {
+template <typename Sig>
+class InlineFn;
+
+template <typename R, typename... Args>
+class InlineFn<R(Args...)> {
  public:
-  // Inline capacity. Sized so a capture of a handful of pointers/handles plus one
-  // std::function-typed completion fits without touching the pool.
+  // Inline capacity. Sized so a capture of a handful of pointers/handles fits without
+  // touching the pool; a capture that holds another InlineFn goes to a pool block.
   static constexpr size_t kInlineBytes = 64;
 
   InlineFn() = default;
+  InlineFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor): `cb = nullptr`
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, InlineFn> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                                        !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
+                                        std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): callbacks convert implicitly
     using D = std::decay_t<F>;
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
     } else {
-      void* block = internal_inline_fn::kPoolBlockBytes >= sizeof(D) &&
-                            alignof(D) <= alignof(std::max_align_t)
+      void* block = internal_inline_fn::fits_pool_block<D>()
                         ? internal_inline_fn::pool_alloc()
                         : ::operator new(sizeof(D), std::align_val_t{alignof(D)});
       ::new (block) D(std::forward<F>(f));
@@ -107,9 +124,10 @@ class InlineFn {
   InlineFn& operator=(const InlineFn&) = delete;
   ~InlineFn() { reset(); }
 
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) const { return ops_->invoke(storage_, std::forward<Args>(args)...); }
 
   explicit operator bool() const { return ops_ != nullptr; }
+  friend bool operator==(const InlineFn& f, std::nullptr_t) { return f.ops_ == nullptr; }
 
   void reset() {
     if (ops_ != nullptr) {
@@ -122,7 +140,7 @@ class InlineFn {
 
  private:
   struct Ops {
-    void (*invoke)(void* storage);
+    R (*invoke)(void* storage, Args&&... args);
     // Move-constructs dst's storage from src's and destroys the src object. nullptr means
     // "relocatable by memcpy of the whole storage" — true for trivially-copyable inline
     // callables and for all pool/heap-backed ones (their storage is just a pointer), which
@@ -150,9 +168,15 @@ class InlineFn {
     return static_cast<D*>(*reinterpret_cast<void**>(storage));
   }
 
+  // static_cast<void> discards the callable's result when R is void.
+  template <typename D, D* (*Obj)(void*)>
+  static R invoke(void* s, Args&&... args) {
+    return static_cast<R>((*Obj(s))(std::forward<Args>(args)...));
+  }
+
   template <typename D>
   static constexpr Ops kInlineOps = {
-      [](void* s) { (*inline_obj<D>(s))(); },
+      &invoke<D, &inline_obj<D>>,
       memcpy_relocatable<D>() ? nullptr
                               : +[](void* dst, void* src) noexcept {
                                   D* obj = inline_obj<D>(src);
@@ -165,13 +189,12 @@ class InlineFn {
 
   template <typename D>
   static constexpr Ops kHeapOps = {
-      [](void* s) { (*heap_obj<D>(s))(); },
+      &invoke<D, &heap_obj<D>>,
       nullptr,  // storage holds a pointer: memcpy relocates it
       [](void* s) {
         D* obj = heap_obj<D>(s);
         obj->~D();
-        if constexpr (internal_inline_fn::kPoolBlockBytes >= sizeof(D) &&
-                      alignof(D) <= alignof(std::max_align_t)) {
+        if constexpr (internal_inline_fn::fits_pool_block<D>()) {
           internal_inline_fn::pool_free(*reinterpret_cast<void**>(s));
         } else {
           ::operator delete(*reinterpret_cast<void**>(s), std::align_val_t{alignof(D)});
@@ -191,7 +214,8 @@ class InlineFn {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  // Mutable: a const call still runs the stored callable as a non-const lvalue.
+  alignas(std::max_align_t) mutable unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
 

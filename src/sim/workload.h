@@ -28,12 +28,12 @@
 #define SRC_SIM_WORKLOAD_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/base/result.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/intern.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
@@ -202,8 +202,8 @@ struct TenantSlo {
 // request has completed — it CHECK-fails if the loop drains with requests still in flight.
 class OpenLoopEngine {
  public:
-  using DoneFn = std::function<void(Status)>;
-  using IssueFn = std::function<void(DoneFn)>;
+  using DoneFn = InlineFn<void(Status)>;
+  using IssueFn = InlineFn<void(DoneFn)>;
 
   OpenLoopEngine(EventLoop* loop, Duration horizon);
 

@@ -147,8 +147,10 @@ ChaosOutcome run_chaos(uint64_t seed, int ops, MetricsRegistry* metrics = nullpt
   const uint64_t buf_addr = client.alloc(kBufBytes);
   const CapId buf = sys.await_ok(client.memory_create(buf_addr, kBufBytes, Perms::kReadWrite));
   FRACTOS_CHECK(sys.await(FsClient::create(client, create_ep, "chaos", kFileBytes)).ok());
-  const FsClient::OpenFile file_fs = sys.await_ok(FsClient::open(client, open_ep, "chaos", true, false));
-  const FsClient::OpenFile file_dax = sys.await_ok(FsClient::open(client, open_ep, "chaos", true, true));
+  const FsClient::OpenFile file_fs =
+      sys.await_ok(FsClient::open(client, open_ep, "chaos", true, false));
+  const FsClient::OpenFile file_dax =
+      sys.await_ok(FsClient::open(client, open_ep, "chaos", true, true));
 
   // Setup must have finished before flaps begin, or the await_ok calls above could have
   // CHECK-failed on a timed-out peer op. If this ever fires, raise kFlapFloorNs.

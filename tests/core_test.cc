@@ -188,7 +188,8 @@ TEST_F(CoreTwoNodes, DerivedRequestRefinesRemoteBase) {
 }
 
 TEST_F(CoreTwoNodes, RefinementCannotOverwriteInitializedArgs) {
-  const CapId ep = sys_.await_ok(b_->serve(Process::Args{}.imm_u64(0, 1), [](Process::Received) {}));
+  const CapId ep =
+      sys_.await_ok(b_->serve(Process::Args{}.imm_u64(0, 1), [](Process::Received) {}));
   const CapId ep_a = sys_.bootstrap_grant(*b_, ep, *a_).value();
   auto r = sys_.await(a_->request_derive(ep_a, Process::Args{}.imm_u64(0, 2)));
   EXPECT_EQ(r.error(), ErrorCode::kArgumentOverlap);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/fabric/network.h"
@@ -376,6 +377,89 @@ TEST_F(LossyQueuePairTest, DatagramModeHasNoRetransmission) {
   EXPECT_EQ(got, 0);
   EXPECT_EQ(a.retransmits(), 0u);
   EXPECT_FALSE(a.severed());
+}
+
+// Controller::restart() destroys channels while their work is still in the loop. Destroy one
+// end mid-exchange on a lossy fabric, with deliveries and ACKs addressed to it, its own
+// retransmit timers and a sever notice to it all pending: none of that may reach it (ASan
+// turns any touch into a failure), and the surviving end's counters must balance.
+TEST_F(LossyQueuePairTest, DestroyingOneEndMidFlightSkipsEverythingAddressedToIt) {
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.drop_prob[0] = 0.2;
+  plan.dup_prob[0] = 0.2;
+  plan.jitter_prob[0] = 0.3;
+  net_.install_fault_injector(plan);
+  QueuePair a(&net_, Endpoint{n0_, Loc::kHost});
+  auto b = std::make_unique<QueuePair>(&net_, Endpoint{n1_, Loc::kHost});
+  QueuePair::connect(a, *b);
+  a.set_retry_policy(Duration::micros(30), 20);
+  b->set_retry_policy(Duration::micros(30), 20);
+  bool b_destroyed = false;
+  int a_got = 0;
+  int b_got = 0;
+  int a_severed = 0;
+  a.set_receive_handler([&](Payload) { ++a_got; });
+  b->set_receive_handler([&](Payload) {
+    EXPECT_FALSE(b_destroyed);
+    ++b_got;
+  });
+  a.set_severed_handler([&]() { ++a_severed; });
+  b->set_severed_handler([&]() { EXPECT_FALSE(b_destroyed); });
+  for (uint8_t i = 0; i < 30; ++i) {
+    a.send(Traffic::kControl, {i});
+    b->send(Traffic::kControl, {i});
+  }
+  ASSERT_TRUE(loop_.run_until([&]() { return b_got >= 10; }));
+  ASSERT_LT(b_got, 30);
+  ASSERT_GT(a.unacked(), 0u);
+  ASSERT_GT(b->unacked(), 0u);
+
+  // A severs (its notice to B is now in flight), then B is destroyed under everything.
+  const uint64_t a_unacked = a.unacked();
+  const uint64_t a_dropped = a.dropped();
+  const int a_got_at_sever = a_got;
+  a.sever();
+  b.reset();
+  b_destroyed = true;
+  // A pair built after B's destruction must not receive B's stale work either.
+  QueuePair successor(&net_, Endpoint{n1_, Loc::kHost});
+  successor.set_receive_handler(
+      [](Payload) { ADD_FAILURE() << "stale delivery reached a new pair"; });
+  successor.set_severed_handler([]() { ADD_FAILURE() << "stale sever reached a new pair"; });
+  a.send(Traffic::kControl, {99});  // sends on a severed pair are counted as dropped
+
+  loop_.run();
+  EXPECT_TRUE(loop_.empty());
+  EXPECT_TRUE(a.severed());
+  EXPECT_EQ(a.unacked(), 0u);
+  EXPECT_EQ(a.dropped(), a_dropped + a_unacked + 1);
+  EXPECT_EQ(a_got, a_got_at_sever);  // a severed pair delivers nothing more
+  EXPECT_EQ(a_severed, 0);           // B never got to sever, so nobody notifies A
+}
+
+// The surviving end of a destroyed pair keeps transmitting into the void: its sends and
+// retransmits still cross the wire, nothing ACKs them, and the RC retry budget severs it.
+TEST_F(LossyQueuePairTest, SurvivorOfADestroyedPeerExhaustsItsRetries) {
+  install(0.1);
+  QueuePair a(&net_, Endpoint{n0_, Loc::kHost});
+  auto b = std::make_unique<QueuePair>(&net_, Endpoint{n1_, Loc::kHost});
+  QueuePair::connect(a, *b);
+  a.set_retry_policy(Duration::micros(10), 4);
+  a.set_receive_handler([](Payload) {});
+  b->set_receive_handler([](Payload) {});
+  int a_severed = 0;
+  a.set_severed_handler([&]() { ++a_severed; });
+  a.send(Traffic::kControl, {1});
+  b.reset();
+  a.send(Traffic::kControl, {2});
+  loop_.run();
+  EXPECT_TRUE(a.severed());
+  EXPECT_EQ(a_severed, 0);  // a pair that gives up severs itself; no peer notice
+  EXPECT_EQ(a.dropped(), 2u);
+  EXPECT_EQ(net_.counters().rc_exhausted, 1u);
+  // Budget 4 = 1 send + 3 head retries; the second entry retries on its own timer alongside.
+  EXPECT_EQ(a.retransmits(), 6u);
 }
 
 TEST_F(FabricTest, FaultScheduleIsSeedDeterministic) {

@@ -1,12 +1,18 @@
-// Unit tests for the discrete-event engine: event ordering, execution contexts, statistics,
-// and deterministic RNG.
+// Unit tests for the discrete-event engine: event ordering, the InlineFn callback type,
+// execution contexts, statistics, and deterministic RNG.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <set>
 #include <vector>
 
+#include "src/base/result.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/exec_context.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 
@@ -101,6 +107,161 @@ TEST(EventLoopTest, MaxStepsBoundsExecution) {
   loop.schedule_after(Duration::nanos(1), forever);
   loop.run(1000);
   EXPECT_EQ(count, 1000);
+}
+
+// --- InlineFn --------------------------------------------------------------------------------
+
+// A capture that records where each of its instances lives, so a test can check that every
+// instance InlineFn creates (by construction or relocation) is destroyed exactly once.
+class Tracked {
+ public:
+  explicit Tracked(std::set<const void*>* live) : live_(live) { enter(); }
+  Tracked(Tracked&& o) noexcept : live_(o.live_) { enter(); }
+  Tracked(const Tracked& o) : live_(o.live_) { enter(); }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { EXPECT_EQ(live_->erase(this), 1u) << "destroyed twice, or never built"; }
+
+  const void* addr() const { return this; }
+
+ private:
+  void enter() { EXPECT_TRUE(live_->insert(this).second); }
+  std::set<const void*>* live_;
+};
+
+// Whether the capture at `p` lives inside `fn`'s own storage (no allocation).
+template <typename Fn>
+bool stored_inline(const Fn& fn, const void* p) {
+  const auto* lo = reinterpret_cast<const unsigned char*>(&fn);
+  const auto* at = static_cast<const unsigned char*>(p);
+  return at >= lo && at < lo + sizeof(fn);
+}
+
+TEST(InlineFnTest, MoveOnlyCaptureMovesWithTheCallback) {
+  InlineFn<int()> f = [p = std::make_unique<int>(7)]() { return *p; };
+  EXPECT_EQ(f(), 7);
+  InlineFn<int()> g = std::move(f);
+  EXPECT_TRUE(f == nullptr);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_EQ(g(), 7);
+}
+
+TEST(InlineFnTest, SmallCapturesStayInlineLargerOnesUseThePoolThenTheHeap) {
+  std::set<const void*> live;
+  const std::vector<void*>& free_blocks = internal_inline_fn::pool().free_blocks;
+  InlineFn<const void*()> small = [t = Tracked(&live)]() { return t.addr(); };
+  InlineFn<const void*()> pooled = [t = Tracked(&live), pad = std::array<uint8_t, 128>{}]() {
+    static_cast<void>(pad);
+    return t.addr();
+  };
+  InlineFn<const void*()> oversized = [t = Tracked(&live), pad = std::array<uint8_t, 512>{}]() {
+    static_cast<void>(pad);
+    return t.addr();
+  };
+  EXPECT_TRUE(stored_inline(small, small()));
+  EXPECT_FALSE(stored_inline(pooled, pooled()));
+  EXPECT_FALSE(stored_inline(oversized, oversized()));
+  EXPECT_EQ(live.size(), 3u);
+
+  // A pooled callback's block goes back on the freelist; an oversized one is too big for a
+  // block and returns to the heap.
+  const size_t parked = free_blocks.size();
+  pooled.reset();
+  EXPECT_EQ(free_blocks.size(), parked + 1);
+  oversized.reset();
+  EXPECT_EQ(free_blocks.size(), parked + 1);
+  small.reset();
+  EXPECT_TRUE(live.empty());
+}
+
+TEST(InlineFnTest, ReturnsNonVoidResults) {
+  const InlineFn<Status(int)> check = [](int v) -> Status {
+    return v > 0 ? ok_status() : Status(ErrorCode::kInvalidArgument);
+  };
+  EXPECT_TRUE(check(1).ok());
+  EXPECT_EQ(check(0).error(), ErrorCode::kInvalidArgument);
+  // A callable returning a convertible type adapts, as a kernel returning Duration would.
+  const InlineFn<Duration(int64_t)> cost = [](int64_t n) { return Duration::nanos(n * 2); };
+  EXPECT_EQ(cost(21).ns(), 42);
+}
+
+TEST(InlineFnTest, ForwardsReferenceAndMoveOnlyArguments) {
+  std::unique_ptr<int> sink;
+  const InlineFn<void(std::unique_ptr<int>&&)> take = [&](std::unique_ptr<int>&& p) {
+    sink = std::move(p);
+  };
+  auto owned = std::make_unique<int>(5);
+  take(std::move(owned));
+  EXPECT_EQ(owned, nullptr);
+  ASSERT_NE(sink, nullptr);
+  EXPECT_EQ(*sink, 5);
+
+  // A const T& parameter reaches the callable as the caller's object, not a copy.
+  const std::vector<int> big(100, 1);
+  const void* seen = nullptr;
+  const InlineFn<void(const std::vector<int>&)> peek = [&](const std::vector<int>& v) {
+    seen = &v;
+  };
+  peek(big);
+  EXPECT_EQ(seen, &big);
+
+  // By-value parameters move through: a move-only argument works too.
+  const InlineFn<int(std::unique_ptr<int>)> unwrap = [](std::unique_ptr<int> p) { return *p; };
+  EXPECT_EQ(unwrap(std::make_unique<int>(9)), 9);
+}
+
+TEST(InlineFnTest, EmptyFromNullptrAndComparesWithIt) {
+  InlineFn<void()> a;
+  InlineFn<void(int)> b = nullptr;
+  EXPECT_TRUE(a == nullptr);
+  EXPECT_TRUE(b == nullptr);
+  EXPECT_FALSE(static_cast<bool>(a));
+  int hits = 0;
+  b = [&](int v) { hits += v; };
+  EXPECT_TRUE(b != nullptr);
+  b(3);
+  EXPECT_EQ(hits, 3);
+  b = nullptr;
+  EXPECT_TRUE(b == nullptr);
+}
+
+TEST(InlineFnTest, ConstCallRunsStatefulCallableManyTimes) {
+  const InlineFn<int()> next = [n = 0]() mutable { return ++n; };
+  int last = 0;
+  for (int i = 0; i < 1000; ++i) {
+    last = next();
+  }
+  EXPECT_EQ(last, 1000);
+}
+
+TEST(InlineFnTest, RelocatesThroughAGrowingVectorDestroyingEachCaptureOnce) {
+  std::set<const void*> live;
+  {
+    std::vector<InlineFn<int()>> fns;  // no reserve: every growth relocates all elements
+    for (int i = 0; i < 200; ++i) {
+      switch (i % 4) {
+        case 0:  // trivially copyable, inline: relocated by memcpy
+          fns.emplace_back([i]() { return i; });
+          break;
+        case 1:  // non-trivial, inline: relocated by its move constructor
+          fns.emplace_back([i, t = Tracked(&live)]() { return i; });
+          break;
+        case 2:  // pooled
+          fns.emplace_back([i, t = Tracked(&live), pad = std::array<uint8_t, 100>{}]() {
+            return i + pad[0];
+          });
+          break;
+        default:  // oversized
+          fns.emplace_back([i, t = Tracked(&live), pad = std::array<uint8_t, 400>{}]() {
+            return i + pad[0];
+          });
+          break;
+      }
+    }
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_EQ(fns[static_cast<size_t>(i)](), i);
+    }
+    EXPECT_EQ(live.size(), 150u);
+  }
+  EXPECT_TRUE(live.empty());
 }
 
 TEST(ExecContextTest, SerializesWork) {

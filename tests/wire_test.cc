@@ -126,7 +126,8 @@ TEST_F(EnvelopeRoundTrip, DeliverRequest) {
   DeliverRequestMsg m;
   m.endpoint_cid = 40;
   m.imms = {{0, {1}}, {32, {2, 3}}};
-  m.caps = {{10, ObjectKind::kMemory, Perms::kRead, 4096}, {11, ObjectKind::kRequest, Perms::kNone, 0}};
+  m.caps = {{10, ObjectKind::kMemory, Perms::kRead, 4096},
+            {11, ObjectKind::kRequest, Perms::kNone, 0}};
   expect_round_trip(make_envelope(13, m));
 }
 

@@ -666,7 +666,7 @@ ObjectTable::ApplyOutcome ObjectTable::apply_replicated(const ReplicatedOp& op) 
       out.revoked = revoke_all_of(op.requester);
       break;
     case ReplicatedOp::Kind::kEraseObjects:
-      erase_objects(op.indices);
+      out.erased = erase_objects(op.indices);
       break;
   }
   return out;

@@ -148,15 +148,17 @@ class ObjectTable {
 
   // --- replication (DESIGN.md §4h) ----------------------------------------------------------
 
-  // Replays one committed log entry into this table. Followers converge structurally because
-  // insert() assigns indices sequentially — replaying the leader's op stream in log order
-  // re-derives the same indices. A mismatch against op.result_index is reported (not fatal)
-  // so the caller can count divergence.
+  // Applies one capability mutation: the leader's eager apply and a follower's replay of the
+  // committed log entry run this same code. Followers converge structurally because insert()
+  // assigns indices sequentially — replaying the leader's op stream in log order re-derives
+  // the same indices. A mismatch against op.result_index is reported (not fatal) so the
+  // caller can count divergence.
   struct ApplyOutcome {
     Status status = ok_status();
     ObjectIndex produced_index = 0;  // 0 when the op yields none
     bool diverged = false;           // produced_index != op.result_index (both nonzero)
     RevokeResult revoked;            // kRevoke / kRevokeAllOf: what this apply invalidated
+    size_t erased = 0;               // kEraseObjects: how many objects were reclaimed
   };
   ApplyOutcome apply_replicated(const ReplicatedOp& op);
 

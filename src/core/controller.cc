@@ -21,6 +21,59 @@ NameId peer_msg_type_span_name(MsgType t) {
   return id;
 }
 
+CapEntry entry_of(const WireCap& w) { return CapEntry{w.ref, w.kind, w.perms, w.mem, w.tracked}; }
+
+// The log entry of a derive-family op, issued locally or received as a kRemoteDerive.
+ReplicatedOp derive_op(RemoteDeriveMsg m) {
+  ReplicatedOp op;
+  op.requester = m.requester;
+  op.base = m.base.index;
+  switch (m.op) {
+    case RemoteDeriveMsg::Op::kRequestRefine:
+      op.kind = ReplicatedOp::Kind::kDeriveRequest;
+      op.imms = std::move(m.imms);
+      op.caps = std::move(m.caps);
+      break;
+    case RemoteDeriveMsg::Op::kMemoryDiminish:
+      op.kind = ReplicatedOp::Kind::kDeriveMemory;
+      op.offset = m.offset;
+      op.size = m.size;
+      op.perms = m.drop_perms;
+      break;
+    case RemoteDeriveMsg::Op::kRevtreeChild:
+      op.kind = ReplicatedOp::Kind::kRevtreeChild;
+      break;
+    case RemoteDeriveMsg::Op::kRevoke:
+      op.kind = ReplicatedOp::Kind::kRevoke;
+      break;
+  }
+  return op;
+}
+
+// The log entry of a monitor registration, issued locally or received from a peer.
+ReplicatedOp monitor_op(const RegisterMonitorMsg& m) {
+  ReplicatedOp op;
+  op.kind = m.delegate_mode ? ReplicatedOp::Kind::kMonitorDelegate
+                            : ReplicatedOp::Kind::kMonitorReceive;
+  op.base = m.target.index;
+  op.callback_id = m.callback_id;
+  op.sub_controller = m.subscriber_controller;
+  op.sub_process = m.subscriber_process;
+  return op;
+}
+
+// Hands a peer op's reply to the continuation the owner path would have called locally.
+InlineFn<void(Result<PeerReplyMsg>&&)> on_peer_reply(
+    InlineFn<void(ErrorCode, const WireCap&)> done) {
+  return [done = std::move(done)](Result<PeerReplyMsg>&& res) {
+    if (!res.ok()) {
+      done(res.error(), WireCap{});
+      return;
+    }
+    done(res.value().status, res.value().result);
+  };
+}
+
 }  // namespace
 
 Controller::Controller(Network* net, Config config)
@@ -398,9 +451,8 @@ void Controller::reply_to(ProcessId pid, uint64_t seq, ErrorCode status, CapId c
   }
 }
 
-InlineFn<void(ErrorCode)> Controller::reply_on_commit(ProcessId pid, uint64_t seq,
-                                                      Result<CapId> cid) {
-  return [this, pid, seq, cid](ErrorCode ec) {
+Controller::OwnerDone Controller::reply_on_commit(ProcessId pid, uint64_t seq, Result<CapId> cid) {
+  return [this, pid, seq, cid](ErrorCode ec, const WireCap&) {
     if (ec == ErrorCode::kOk && !cid.ok()) {
       ec = cid.error();
     }
@@ -408,59 +460,145 @@ InlineFn<void(ErrorCode)> Controller::reply_on_commit(ProcessId pid, uint64_t se
   };
 }
 
-InlineFn<void(Result<PeerReplyMsg>&&)> Controller::install_peer_result(ProcessId pid,
-                                                                       uint64_t seq) {
-  return [this, pid, seq](Result<PeerReplyMsg>&& res) {
+Controller::OwnerDone Controller::install_on_commit(ProcessId pid, uint64_t seq) {
+  return [this, pid, seq](ErrorCode ec, const WireCap& result) {
     auto it = procs_.find(pid);
     if (it == procs_.end() || !it->second->alive) {
       return;
     }
     ProcState& proc = *it->second;
-    const ErrorCode status = res.ok() ? res.value().status : res.error();
-    if (status != ErrorCode::kOk) {
-      reply(proc, seq, status);
+    if (ec != ErrorCode::kOk) {
+      reply(proc, seq, ec);
       return;
     }
-    const WireCap& w = res.value().result;
-    auto cid = proc.caps.install(CapEntry{w.ref, w.kind, w.perms, w.mem, w.tracked});
+    auto cid = proc.caps.install(entry_of(result));
     reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
   };
 }
 
+// --- the owner path ------------------------------------------------------------------------------
+
+Controller::OwnerOp Controller::apply_at_owner(const ObjectRef& base, ReplicatedOp op) {
+  OwnerOp o;
+  o.seat = base.owner;
+  ObjectTable* t = serving_table(base.owner);
+  if (t == nullptr) {
+    // Not the owner and not its acting leader (kInvalidArgument, the pre-replication
+    // answer), or a group member that cannot currently lead the seat (kNotLeader — the
+    // requester should re-route once a new leader announces itself).
+    o.status = (base.owner == addr() || repl_groups_.contains(base.owner))
+                   ? ErrorCode::kNotLeader
+                   : ErrorCode::kInvalidArgument;
+    return o;
+  }
+  if (base.reboot_count != t->reboot_count()) {
+    o.status = ErrorCode::kStaleCapability;
+    return o;
+  }
+  o.admitted = true;
+  ObjectTable::ApplyOutcome out = t->apply_replicated(op);
+  if (!out.status.ok()) {
+    o.status = out.status.error();
+    return o;
+  }
+  const ObjectIndex idx = out.produced_index;
+  if (idx != 0) {
+    op.result_index = idx;
+    o.result.ref = t->ref_of(idx);
+    o.result.kind = t->kind_of(idx);
+    if (o.result.kind == ObjectKind::kMemory) {
+      auto resolved = t->resolve_memory(idx, t->reboot_count());
+      FRACTOS_CHECK(resolved.ok());
+      o.result.perms = resolved.value().perms;
+      o.result.mem = resolved.value().desc;
+    }
+  }
+  o.op = std::move(op);
+  o.revoked = std::move(out.revoked);
+  return o;
+}
+
+void Controller::commit_at_owner(OwnerOp o, OwnerDone done) {
+  if (o.status != ErrorCode::kOk) {
+    done(o.status, o.result);
+    return;
+  }
+  // Commit gate: the reply (and, for a revoke, the cleanup broadcast and monitor fires) is
+  // released only once the entry is durable on a majority — inline when the seat has no
+  // replication group.
+  auto it = repl_groups_.find(o.seat);
+  ReplicatedOp op = std::move(o.op);
+  const bool is_revoke = op.kind == ReplicatedOp::Kind::kRevoke;
+  auto finish = [this, is_revoke, o = std::move(o), done = std::move(done)](ErrorCode ec) {
+    if (ec == ErrorCode::kOk && is_revoke) {
+      apply_revoke_for(o.seat, o.revoked);
+    }
+    done(ec, o.result);
+  };
+  if (it == repl_groups_.end()) {
+    finish(ErrorCode::kOk);
+    return;
+  }
+  it->second->replicate(std::move(op), std::move(finish));
+}
+
+void Controller::reply_at_owner(ControllerAddr origin, uint64_t op_id, OwnerOp o,
+                                InlineFn<void(const PeerReplyMsg&)> done) {
+  PeerReplyMsg r;
+  r.op_id = op_id;
+  r.status = o.status;
+  if (r.status != ErrorCode::kOk) {
+    rpc_.remember(origin, r);
+    done(r);
+    return;
+  }
+  auto answer = [this, origin, r, done = std::move(done)](ErrorCode ec, const WireCap& w) mutable {
+    r.status = ec;
+    r.result = w;
+    if (ec == ErrorCode::kOk) {
+      rpc_.remember(origin, r);
+    }
+    done(r);
+  };
+  commit_at_owner(std::move(o), std::move(answer));
+}
+
+void Controller::derive_at_owner(ProcState& p, uint64_t seq, RemoteDeriveMsg rd) {
+  const bool revoke = rd.op == RemoteDeriveMsg::Op::kRevoke;
+  OwnerDone done = revoke ? reply_on_commit(p.pid, seq) : install_on_commit(p.pid, seq);
+  const ObjectRef base = rd.base;
+  if (base.owner == addr()) {
+    commit_at_owner(apply_at_owner(base, derive_op(std::move(rd))), std::move(done));
+    return;
+  }
+  rd.op_id = next_op_id_++;
+  const ControllerAddr owner = route_owner(base.owner);
+  if (rd.op != RemoteDeriveMsg::Op::kRequestRefine) {
+    rpc_.call_derive(owner, std::move(rd)).on_ready(on_peer_reply(std::move(done)));
+    return;
+  }
+  // A refinement's capability arguments are delegated (serialized) on the way.
+  const Duration extra = cap_serialize_cost(rd.caps);
+  exec_->run(extra, [this, owner, extra, rd = std::move(rd), done = std::move(done)]() mutable {
+    note_translation(extra);
+    rpc_.call_derive(owner, std::move(rd)).on_ready(on_peer_reply(std::move(done)));
+  });
+}
+
+// --- syscall handlers (continued) ----------------------------------------------------------------
+
 void Controller::sc_memory_create(ProcState& p, uint64_t seq, const MemoryCreateMsg& m) {
   // The Process registers memory it physically owns: a pool on its own node.
-  if (!can_mutate_seat(addr())) {
-    reply(p, seq, ErrorCode::kNotLeader);
-    return;
-  }
-  Node& node = net_->node(p.node);
-  if (Status s = node.check_extent(m.pool, m.addr, m.size); !s.ok()) {
+  if (Status s = net_->node(p.node).check_extent(m.pool, m.addr, m.size); !s.ok()) {
     reply(p, seq, s.error());
-    return;
-  }
-  MemoryDesc desc{p.node, m.pool, m.addr, m.size};
-  auto idx = table_.create_memory(p.pid, desc, m.perms);
-  if (!idx.ok()) {
-    reply(p, seq, idx.error());
-    return;
-  }
-  CapEntry entry;
-  entry.ref = table_.ref_of(idx.value());
-  entry.kind = ObjectKind::kMemory;
-  entry.perms = m.perms;
-  entry.mem = desc;
-  auto cid = p.caps.install(entry);
-  if (!cid.ok()) {
-    reply(p, seq, cid.error());
     return;
   }
   ReplicatedOp op;
   op.kind = ReplicatedOp::Kind::kCreateMemory;
   op.requester = p.pid;
-  op.result_index = idx.value();
-  op.mem = desc;
+  op.mem = MemoryDesc{p.node, m.pool, m.addr, m.size};
   op.perms = m.perms;
-  commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
+  commit_at_owner(apply_at_owner(seat_ref(), std::move(op)), install_on_commit(p.pid, seq));
 }
 
 void Controller::sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDiminishMsg& m) {
@@ -469,51 +607,18 @@ void Controller::sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDimi
     reply(p, seq, entry.error());
     return;
   }
-  const CapEntry& e = entry.value();
-  if (e.kind != ObjectKind::kMemory) {
+  if (entry.value().kind != ObjectKind::kMemory) {
     reply(p, seq, ErrorCode::kWrongObjectKind);
     return;
   }
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    auto idx = table_.derive_memory(p.pid, e.ref.index, m.offset, m.size, m.drop_perms);
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
-      return;
-    }
-    auto resolved = table_.resolve_memory(idx.value(), table_.reboot_count());
-    FRACTOS_CHECK(resolved.ok());
-    CapEntry derived;
-    derived.ref = table_.ref_of(idx.value());
-    derived.kind = ObjectKind::kMemory;
-    derived.perms = resolved.value().perms;
-    derived.mem = resolved.value().desc;
-    auto cid = p.caps.install(derived);
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kDeriveMemory;
-    op.requester = p.pid;
-    op.base = e.ref.index;
-    op.result_index = idx.value();
-    op.offset = m.offset;
-    op.size = m.size;
-    op.perms = m.drop_perms;
-    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
-    return;
-  }
-  // Derivation at the owner: single message to the owning Controller (Section 3.5).
   RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
-  rd.base = e.ref;
+  rd.base = entry.value().ref;
   rd.op = RemoteDeriveMsg::Op::kMemoryDiminish;
   rd.requester = p.pid;
   rd.offset = m.offset;
   rd.size = m.size;
   rd.drop_perms = m.drop_perms;
-  rpc_.call_derive(route_owner(e.ref.owner), std::move(rd))
-      .on_ready(install_peer_result(p.pid, seq));
+  derive_at_owner(p, seq, std::move(rd));
 }
 
 void Controller::sc_memory_copy(ProcState& p, uint64_t seq, const MemoryCopyMsg& m) {
@@ -584,7 +689,7 @@ void Controller::bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, 
   }
   Network* net = net_;
   const uint64_t chunk =
-      total <= config_.double_buffer_threshold ? total : config_.copy_chunk_bytes;
+      total <= kDoubleBufferThreshold ? total : config_.copy_chunk_bytes;
   Stream::run(
       {.total = total, .chunk = chunk, .window = 2},
       [net, self, src, dst](const Stream::Chunk& c) {
@@ -636,7 +741,7 @@ Duration Controller::cap_serialize_cost(const std::vector<WireCap>& caps) {
   for (const WireCap& wc : caps) {
     const uint64_t key = (static_cast<uint64_t>(wc.ref.owner) << 48) ^ wc.ref.index;
     if (config_.cache_serialized_requests && serialized_cache_.contains(key)) {
-      total += config_.costs.cap_serialize * config_.serialized_cache_discount;
+      total += config_.costs.cap_serialize * kSerializedCacheDiscount;
     } else {
       total += config_.costs.cap_serialize;
       if (config_.cache_serialized_requests) {
@@ -681,17 +786,17 @@ Result<WireCap> Controller::make_wire_cap(ProcState& p, CapId cid) {
   if (e.ref.owner == addr()) {
     // Owner-side monitor interception: delegating a monitor_delegate'd object creates a
     // tracked per-delegation child (Section 3.6).
-    auto prepared = table_.prepare_delegation(e.ref.index);
-    if (!prepared.ok()) {
-      return prepared.error();
+    ReplicatedOp op;
+    op.kind = ReplicatedOp::Kind::kPrepareDelegation;
+    op.base = e.ref.index;
+    const ObjectTable::ApplyOutcome out = table_.apply_replicated(op);
+    if (!out.status.ok()) {
+      return out.status.error();
     }
-    if (prepared.value() != e.ref.index) {
-      wc.ref = table_.ref_of(prepared.value());
+    if (out.produced_index != e.ref.index) {
+      wc.ref = table_.ref_of(out.produced_index);
       wc.tracked = true;
-      ReplicatedOp op;
-      op.kind = ReplicatedOp::Kind::kPrepareDelegation;
-      op.base = e.ref.index;
-      op.result_index = prepared.value();
+      op.result_index = out.produced_index;
       log_mutation(addr(), std::move(op));
     }
   }
@@ -718,40 +823,26 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
     reply(p, seq, caps.error());
     return;
   }
-  RequestArgs args;
-  args.imms = m.imms;
-  args.caps = std::move(caps).value();
-
   if (!m.has_base) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
     ReplicatedOp op;
     op.kind = ReplicatedOp::Kind::kCreateRequestRoot;
     op.requester = p.pid;
-    op.imms = args.imms;
-    op.caps = args.caps;
-    auto idx = table_.create_request_root(p.pid, kInvalidCap, std::move(args));
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
-      return;
+    op.imms = m.imms;
+    op.caps = std::move(caps).value();
+    OwnerOp o = apply_at_owner(seat_ref(), std::move(op));
+    Result<CapId> cid = kInvalidCap;
+    if (o.status == ErrorCode::kOk) {
+      // The endpoint cid is the provider's cid for the new Request, known once it is
+      // installed; the log entry carries it, so followers apply both in one step.
+      cid = p.caps.install(entry_of(o.result));
+      if (cid.ok()) {
+        FRACTOS_CHECK(table_.set_endpoint_cid(o.result.ref.index, cid.value()).ok());
+        o.op.cid = cid.value();
+      }
     }
-    CapEntry entry;
-    entry.ref = table_.ref_of(idx.value());
-    entry.kind = ObjectKind::kRequest;
-    auto cid = p.caps.install(entry);
-    if (!cid.ok()) {
-      reply(p, seq, cid.error());
-      return;
-    }
-    FRACTOS_CHECK(table_.set_endpoint_cid(idx.value(), cid.value()).ok());
-    op.result_index = idx.value();
-    op.cid = cid.value();  // followers apply the endpoint cid as part of the same entry
-    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
+    commit_at_owner(std::move(o), reply_on_commit(p.pid, seq, cid));
     return;
   }
-
   auto base = p.caps.get(m.base);
   if (!base.ok()) {
     reply(p, seq, base.error());
@@ -761,47 +852,13 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
     reply(p, seq, ErrorCode::kWrongObjectKind);
     return;
   }
-  if (base.value().ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kDeriveRequest;
-    op.requester = p.pid;
-    op.base = base.value().ref.index;
-    op.imms = args.imms;
-    op.caps = args.caps;
-    auto idx = table_.derive_request_local(p.pid, base.value().ref.index, std::move(args));
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
-      return;
-    }
-    CapEntry entry;
-    entry.ref = table_.ref_of(idx.value());
-    entry.kind = ObjectKind::kRequest;
-    auto cid = p.caps.install(entry);
-    op.result_index = idx.value();
-    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
-    return;
-  }
-
-  // Derivation at the owner; capability arguments are delegated (serialized) on the way.
   RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
   rd.base = base.value().ref;
   rd.op = RemoteDeriveMsg::Op::kRequestRefine;
   rd.requester = p.pid;
-  rd.imms = std::move(args.imms);
-  rd.caps = std::move(args.caps);
-  const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(base.value().ref.owner);
-  const Duration extra = cap_serialize_cost(rd.caps);
-  exec_->run(extra, [this, pid, seq, owner, extra, rd = std::move(rd)]() mutable {
-    note_translation(extra);
-    rpc_.call_derive(owner, std::move(rd))
-        .on_ready(install_peer_result(pid, seq));
-  });
+  rd.imms = m.imms;
+  rd.caps = std::move(caps).value();
+  derive_at_owner(p, seq, std::move(rd));
 }
 
 void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvokeMsg& m) {
@@ -931,35 +988,11 @@ void Controller::sc_cap_create_revtree(ProcState& p, uint64_t seq,
     reply(p, seq, entry.error());
     return;
   }
-  const CapEntry& e = entry.value();
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    auto idx = table_.create_revtree_child(p.pid, e.ref.index);
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
-      return;
-    }
-    CapEntry child = e;  // same payload view, independently revocable object
-    child.ref = table_.ref_of(idx.value());
-    auto cid = p.caps.install(child);
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kRevtreeChild;
-    op.requester = p.pid;
-    op.base = e.ref.index;
-    op.result_index = idx.value();
-    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq, cid));
-    return;
-  }
   RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
-  rd.base = e.ref;
+  rd.base = entry.value().ref;
   rd.op = RemoteDeriveMsg::Op::kRevtreeChild;
   rd.requester = p.pid;
-  rpc_.call_derive(route_owner(e.ref.owner), std::move(rd))
-      .on_ready(install_peer_result(p.pid, seq));
+  derive_at_owner(p, seq, std::move(rd));
 }
 
 void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m) {
@@ -968,33 +1001,11 @@ void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m
     reply(p, seq, entry.error());
     return;
   }
-  const CapEntry& e = entry.value();
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    auto result = table_.revoke(e.ref.index, e.ref.reboot_count);
-    if (!result.ok()) {
-      reply(p, seq, result.error());
-      return;
-    }
-    apply_revoke(result.value());
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kRevoke;
-    op.base = e.ref.index;
-    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq));
-    return;
-  }
   RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
-  rd.base = e.ref;
+  rd.base = entry.value().ref;
   rd.op = RemoteDeriveMsg::Op::kRevoke;
   rd.requester = p.pid;
-  rpc_.call_derive(route_owner(e.ref.owner), std::move(rd))
-      .on_ready([this, pid = p.pid, seq](Result<PeerReplyMsg>&& res) {
-        reply_to(pid, seq, res.ok() ? res.value().status : res.error());
-      });
+  derive_at_owner(p, seq, std::move(rd));
 }
 
 void Controller::sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m,
@@ -1004,41 +1015,19 @@ void Controller::sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m,
     reply(p, seq, entry.error());
     return;
   }
-  const CapEntry& e = entry.value();
-  const MonitorSub sub{addr(), p.pid, m.callback_id};
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    const Status s = delegate_mode
-                         ? table_.monitor_delegate(e.ref.index, e.ref.reboot_count, sub)
-                         : table_.monitor_receive(e.ref.index, e.ref.reboot_count, sub);
-    if (!s.ok()) {
-      reply(p, seq, s.error());
-      return;
-    }
-    ReplicatedOp op;
-    op.kind = delegate_mode ? ReplicatedOp::Kind::kMonitorDelegate
-                            : ReplicatedOp::Kind::kMonitorReceive;
-    op.base = e.ref.index;
-    op.callback_id = m.callback_id;
-    op.sub_controller = addr();
-    op.sub_process = p.pid;
-    commit_mutation(addr(), std::move(op), reply_on_commit(p.pid, seq));
-    return;
-  }
   RegisterMonitorMsg rm;
-  rm.target = e.ref;
+  rm.target = entry.value().ref;
   rm.delegate_mode = delegate_mode;
   rm.callback_id = m.callback_id;
   rm.subscriber_controller = addr();
   rm.subscriber_process = p.pid;
+  if (rm.target.owner == addr()) {
+    commit_at_owner(apply_at_owner(rm.target, monitor_op(rm)), reply_on_commit(p.pid, seq));
+    return;
+  }
   const uint64_t op_id = next_op_id_++;
-  rpc_.call(route_owner(e.ref.owner), make_envelope(op_id, rm))
-      .on_ready([this, pid = p.pid, seq](Result<PeerReplyMsg>&& res) {
-        reply_to(pid, seq, res.ok() ? res.value().status : res.error());
-      });
+  rpc_.call(route_owner(rm.target.owner), make_envelope(op_id, rm))
+      .on_ready(on_peer_reply(reply_on_commit(p.pid, seq)));
 }
 
 // --- delivery ------------------------------------------------------------------------------------
@@ -1089,8 +1078,7 @@ ErrorCode Controller::deliver_locally(ObjectIndex idx, const std::vector<ImmExte
   std::vector<WireCap> all_caps = std::move(req.args.caps);
   all_caps.insert(all_caps.end(), extra_caps.begin(), extra_caps.end());
   for (const WireCap& wc : all_caps) {
-    CapEntry entry{wc.ref, wc.kind, wc.perms, wc.mem, wc.tracked};
-    auto cid = provider.caps.install(entry);
+    auto cid = provider.caps.install(entry_of(wc));
     if (!cid.ok()) {
       return cid.error();
     }
@@ -1218,125 +1206,11 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
     done(*cached);
     return;
   }
-  PeerReplyMsg r;
-  r.op_id = m.op_id;
-  ObjectTable* t = serving_table(m.base.owner);
-  if (t == nullptr) {
-    // Not the owner and not its acting leader (kInvalidArgument, the pre-replication
-    // answer), or a group member that cannot currently lead the seat (kNotLeader — the
-    // requester should re-route once a new leader announces itself).
-    r.status = (m.base.owner == addr() || repl_groups_.count(m.base.owner) != 0)
-                   ? ErrorCode::kNotLeader
-                   : ErrorCode::kInvalidArgument;
-    rpc_.remember(origin, r);
-    done(r);
-    return;
+  OwnerOp o = apply_at_owner(m.base, derive_op(m));
+  if (o.admitted) {
+    ++stats_.derivations;
   }
-  if (m.base.reboot_count != t->reboot_count()) {
-    r.status = ErrorCode::kStaleCapability;
-    rpc_.remember(origin, r);
-    done(r);
-    return;
-  }
-  ++stats_.derivations;
-  ObjectTable& tbl = *t;
-  const ControllerAddr seat = m.base.owner;
-  ReplicatedOp op;
-  op.requester = m.requester;
-  op.base = m.base.index;
-  ObjectTable::RevokeResult revoked;
-  switch (m.op) {
-    case RemoteDeriveMsg::Op::kRequestRefine: {
-      RequestArgs args;
-      args.imms = m.imms;
-      args.caps = m.caps;
-      auto idx = tbl.derive_request_local(m.requester, m.base.index, std::move(args));
-      if (!idx.ok()) {
-        r.status = idx.error();
-      } else {
-        r.result.ref = tbl.ref_of(idx.value());
-        r.result.kind = ObjectKind::kRequest;
-        op.kind = ReplicatedOp::Kind::kDeriveRequest;
-        op.result_index = idx.value();
-        op.imms = m.imms;
-        op.caps = m.caps;
-      }
-      break;
-    }
-    case RemoteDeriveMsg::Op::kMemoryDiminish: {
-      auto idx = tbl.derive_memory(m.requester, m.base.index, m.offset, m.size, m.drop_perms);
-      if (!idx.ok()) {
-        r.status = idx.error();
-      } else {
-        auto resolved = tbl.resolve_memory(idx.value(), tbl.reboot_count());
-        FRACTOS_CHECK(resolved.ok());
-        r.result.ref = tbl.ref_of(idx.value());
-        r.result.kind = ObjectKind::kMemory;
-        r.result.perms = resolved.value().perms;
-        r.result.mem = resolved.value().desc;
-        op.kind = ReplicatedOp::Kind::kDeriveMemory;
-        op.result_index = idx.value();
-        op.offset = m.offset;
-        op.size = m.size;
-        op.perms = m.drop_perms;
-      }
-      break;
-    }
-    case RemoteDeriveMsg::Op::kRevtreeChild: {
-      auto idx = tbl.create_revtree_child(m.requester, m.base.index);
-      if (!idx.ok()) {
-        r.status = idx.error();
-      } else {
-        r.result.ref = tbl.ref_of(idx.value());
-        r.result.kind = tbl.kind_of(idx.value());
-        if (r.result.kind == ObjectKind::kMemory) {
-          auto resolved = tbl.resolve_memory(idx.value(), tbl.reboot_count());
-          FRACTOS_CHECK(resolved.ok());
-          r.result.perms = resolved.value().perms;
-          r.result.mem = resolved.value().desc;
-        }
-        op.kind = ReplicatedOp::Kind::kRevtreeChild;
-        op.result_index = idx.value();
-      }
-      break;
-    }
-    case RemoteDeriveMsg::Op::kRevoke: {
-      auto result = tbl.revoke(m.base.index, m.base.reboot_count);
-      if (!result.ok()) {
-        r.status = result.error();
-      } else {
-        op.kind = ReplicatedOp::Kind::kRevoke;
-        revoked = std::move(result).value();
-      }
-      break;
-    }
-  }
-  if (r.status != ErrorCode::kOk) {
-    rpc_.remember(origin, r);
-    done(r);
-    return;
-  }
-  // Commit gate: the reply (and, for a revoke, the cleanup broadcast) is released only once
-  // the entry is durable on a majority. Without a group the continuation runs synchronously
-  // and this whole block collapses to the pre-replication order of effects.
-  const bool is_revoke = op.kind == ReplicatedOp::Kind::kRevoke;
-  commit_mutation(seat, std::move(op),
-                  [this, origin, seat, r, is_revoke, revoked = std::move(revoked),
-                   done = std::move(done)](ErrorCode ec) mutable {
-                    if (ec != ErrorCode::kOk) {
-                      // Unknown outcome (deposed mid-commit): do NOT cache — the op may be
-                      // retried at the next leader, and this member's eager state will be
-                      // reset from a snapshot.
-                      r.status = ec;
-                      done(r);
-                      return;
-                    }
-                    if (is_revoke) {
-                      apply_revoke_for(seat, revoked);
-                    }
-                    rpc_.remember(origin, r);
-                    done(r);
-                  });
+  reply_at_owner(origin, m.op_id, std::move(o), std::move(done));
 }
 
 void Controller::peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadcastMsg& m) {
@@ -1361,11 +1235,7 @@ void Controller::peer_revoke_ack(const RevokeAckMsg& m) {
     // Every peer purged its references: the invalidated stubs can finally be reclaimed.
     const ControllerAddr seat = it->second.seat == 0 ? addr() : it->second.seat;
     if (ObjectTable* t = serving_table(seat); t != nullptr) {
-      stats_.objects_reclaimed += t->erase_objects(it->second.objects);
-      ReplicatedOp op;
-      op.kind = ReplicatedOp::Kind::kEraseObjects;
-      op.indices.assign(it->second.objects.begin(), it->second.objects.end());
-      log_mutation(seat, std::move(op));
+      reclaim_objects(seat, *t, it->second.objects);
     }
     pending_cleanups_.erase(it);
   }
@@ -1379,37 +1249,11 @@ void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
     send_peer(origin, make_envelope(next_seq_++, *cached));
     return;
   }
-  PeerReplyMsg r;
-  r.op_id = seq;  // the subscriber keyed its continuation by the envelope seq
-  const MonitorSub sub{m.subscriber_controller, m.subscriber_process, m.callback_id};
-  Status s(ErrorCode::kInvalidArgument);
-  ObjectTable* t = serving_table(m.target.owner);
-  if (t != nullptr) {
-    s = m.delegate_mode
-            ? t->monitor_delegate(m.target.index, m.target.reboot_count, sub)
-            : t->monitor_receive(m.target.index, m.target.reboot_count, sub);
-  }
-  r.status = s.ok() ? ErrorCode::kOk : s.error();
-  if (!s.ok()) {
-    rpc_.remember(origin, r);
-    send_peer(origin, make_envelope(next_seq_++, r));
-    return;
-  }
-  ReplicatedOp op;
-  op.kind = m.delegate_mode ? ReplicatedOp::Kind::kMonitorDelegate
-                            : ReplicatedOp::Kind::kMonitorReceive;
-  op.base = m.target.index;
-  op.callback_id = m.callback_id;
-  op.sub_controller = m.subscriber_controller;
-  op.sub_process = m.subscriber_process;
-  commit_mutation(m.target.owner, std::move(op),
-                  [this, origin, r](ErrorCode ec) mutable {
-                    r.status = ec;
-                    if (ec == ErrorCode::kOk) {
-                      rpc_.remember(origin, r);
-                    }
-                    send_peer(origin, make_envelope(next_seq_++, r));
-                  });
+  // The subscriber keyed its continuation by the envelope seq.
+  reply_at_owner(origin, seq, apply_at_owner(m.target, monitor_op(m)),
+                 [this, origin](const PeerReplyMsg& r) {
+                   send_peer(origin, make_envelope(next_seq_++, r));
+                 });
 }
 
 void Controller::peer_monitor_fired(const MonitorFiredMsg& m) {
@@ -1490,11 +1334,7 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
     ++live_peers;
   }
   if (live_peers == 0) {
-    stats_.objects_reclaimed += t->erase_objects(result.invalidated);
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kEraseObjects;
-    op.indices.assign(result.invalidated.begin(), result.invalidated.end());
-    log_mutation(seat, std::move(op));
+    reclaim_objects(seat, *t, result.invalidated);
   } else {
     pending_cleanups_.emplace(bc.cleanup_id,
                               PendingCleanup{result.invalidated, live_peers, seat});
@@ -1504,6 +1344,15 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
       dispatch_monitor_fire(fire);
     }
   }
+}
+
+void Controller::reclaim_objects(ControllerAddr seat, ObjectTable& t,
+                                 const std::vector<ObjectIndex>& objects) {
+  ReplicatedOp op;
+  op.kind = ReplicatedOp::Kind::kEraseObjects;
+  op.indices.assign(objects.begin(), objects.end());
+  stats_.objects_reclaimed += t.apply_replicated(op).erased;
+  log_mutation(seat, std::move(op));
 }
 
 void Controller::dispatch_monitor_fire(const ObjectTable::MonitorFire& fire) {
@@ -1565,31 +1414,30 @@ void Controller::process_failed(ProcessId pid) {
     if (!entry.tracked) {
       continue;
     }
-    if (entry.ref.owner == addr()) {
-      auto result = table_.revoke(entry.ref.index, entry.ref.reboot_count);
-      if (result.ok()) {
-        ReplicatedOp op;
-        op.kind = ReplicatedOp::Kind::kRevoke;
-        op.base = entry.ref.index;
-        log_mutation(addr(), std::move(op));
-        apply_revoke(result.value());
-      }
-    } else {
-      RemoteDeriveMsg rd;
+    RemoteDeriveMsg rd;
+    rd.base = entry.ref;
+    rd.op = RemoteDeriveMsg::Op::kRevoke;
+    rd.requester = pid;
+    if (entry.ref.owner != addr()) {
       rd.op_id = next_op_id_++;
-      rd.base = entry.ref;
-      rd.op = RemoteDeriveMsg::Op::kRevoke;
-      rd.requester = pid;
       // Fire-and-forget: the reply needs no action, so the future is dropped unconsumed.
       rpc_.call_derive(route_owner(entry.ref.owner), std::move(rd));
+    } else if (!is_stale(entry.ref)) {
+      ReplicatedOp op = derive_op(std::move(rd));
+      ObjectTable::ApplyOutcome out = table_.apply_replicated(op);
+      if (out.status.ok()) {
+        log_mutation(addr(), std::move(op));
+        apply_revoke(out.revoked);
+      }
     }
   }
   // Everything the Process registered is invalidated.
   ReplicatedOp op;
   op.kind = ReplicatedOp::Kind::kRevokeAllOf;
   op.requester = pid;
+  ObjectTable::ApplyOutcome out = table_.apply_replicated(op);
   log_mutation(addr(), std::move(op));
-  apply_revoke(table_.revoke_all_of(pid));
+  apply_revoke(out.revoked);
 }
 
 void Controller::fail() {
@@ -1713,16 +1561,6 @@ const ObjectTable* Controller::serving_table(ControllerAddr owner) const {
 bool Controller::can_mutate_seat(ControllerAddr seat) const {
   auto it = repl_groups_.find(seat);
   return it == repl_groups_.end() || it->second->can_serve();
-}
-
-void Controller::commit_mutation(ControllerAddr seat, ReplicatedOp op,
-                                 InlineFn<void(ErrorCode)> done) {
-  auto it = repl_groups_.find(seat);
-  if (it == repl_groups_.end()) {
-    done(ErrorCode::kOk);  // unreplicated: acknowledge inline (the pre-replication path)
-    return;
-  }
-  it->second->replicate(std::move(op), std::move(done));
 }
 
 void Controller::log_mutation(ControllerAddr seat, ReplicatedOp op) {

@@ -77,17 +77,14 @@ class Controller {
     ControllerCosts costs;
     // Congestion control: max unacknowledged deliveries per Process (Section 4).
     uint32_t congestion_window = 1024;
-    // memory_copy staging: below the threshold the copy is read-then-write; above it, chunks
-    // are pipelined (double buffering), as in Fig. 5.
-    uint64_t double_buffer_threshold = 16 * 1024;
+    // memory_copy staging above kDoubleBufferThreshold: pipelined chunk size.
     uint64_t copy_chunk_bytes = 64 * 1024;
     // Fig. 5 "HW copies": use third-party RDMA instead of bounce buffers.
     bool hw_third_party_copies = false;
     uint32_t cap_quota = 1u << 20;
     // Optimization suggested by the paper (Section 6.1): cache serialized Requests so that
-    // repeat delegations of the same object pay a fraction of the serialization cost.
+    // repeat delegations of the same object pay kSerializedCacheDiscount of the cost.
     bool cache_serialized_requests = false;
-    double serialized_cache_discount = 0.25;  // fraction of cap_serialize paid on a hit
     // Capability hot path (all off by default for compatibility with existing goldens):
     // owner-side translation cache capacity in entries; 0 disables caching.
     uint32_t translation_cache_entries = 0;
@@ -97,6 +94,13 @@ class Controller {
     // delegation depth) — enabling it without a cache is the honest baseline for Fig. 7.
     bool charge_chain_traversal = false;
   };
+
+  // memory_copy staging: below this size the copy is read-then-write; above it, chunks are
+  // pipelined (double buffering) — "FractOS uses double buffering for buffers larger than
+  // 16 KB" (Fig. 5).
+  static constexpr uint64_t kDoubleBufferThreshold = 16 * 1024;
+  // Fraction of cap_serialize a serialized-Request cache hit pays.
+  static constexpr double kSerializedCacheDiscount = 0.25;
 
   Controller(Network* net, Config config);
 
@@ -258,9 +262,7 @@ class Controller {
   void peer_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m);
   void peer_remote_derive_batch(ControllerAddr origin, const RemoteDeriveBatchMsg& m);
   // Executes one owner-bound derive op (or replays its cached reply) and hands the reply to
-  // `done`; dedup (PeerRpc::lookup) is per op, so batch members stay idempotent. Without a
-  // replication group `done` runs synchronously (the pre-replication code path, verbatim);
-  // with one, mutating ops defer `done` until the logged entry commits on a majority.
+  // `done`; dedup (PeerRpc::lookup) is per op, so batch members stay idempotent.
   void exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m,
                           InlineFn<void(const PeerReplyMsg&)> done);
   void peer_reply(const PeerReplyMsg& m);
@@ -270,16 +272,44 @@ class Controller {
   void peer_monitor_fired(const MonitorFiredMsg& m);
   void peer_invoke_error(const RemoteInvokeErrorMsg& m);
 
+  // --- the owner path (DESIGN.md §4a): every capability mutation of a seat's objects ---
+  // One mutation applied to the seat's serving table, not yet committed.
+  struct OwnerOp {
+    ControllerAddr seat = 0;
+    bool admitted = false;              // seat served here, base ref current: `op` was applied
+    ErrorCode status = ErrorCode::kOk;  // the refusal, or the apply's error
+    ReplicatedOp op;                    // the log entry; result_index is the produced object
+    WireCap result;                     // view of the produced object (creates, derivations)
+    ObjectTable::RevokeResult revoked;  // what a kRevoke invalidated
+  };
+  // Picks the table serving `base.owner` (kNotLeader when deposed), checks `base`'s generation
+  // (kStaleCapability), applies `op` through ObjectTable::apply_replicated — the code
+  // followers replay — and builds the view of the object it produced. Creates pass
+  // seat_ref() as `base`.
+  OwnerOp apply_at_owner(const ObjectRef& base, ReplicatedOp op);
+  ObjectRef seat_ref() const { return ObjectRef{addr(), kInvalidObject, table_.reboot_count()}; }
+  // Commit gate of an applied op: `done(status, result)` runs at once when it was refused, and
+  // otherwise once the entry commits — inline without a replication group. A committed revoke
+  // runs its cleanup (apply_revoke_for) before `done`.
+  using OwnerDone = InlineFn<void(ErrorCode, const WireCap&)>;
+  void commit_at_owner(OwnerOp o, OwnerDone done);
+  // Commits a peer's op and answers it with `done`, caching every answer except an unknown
+  // outcome (deposed mid-commit: the op may still be retried at the next leader).
+  void reply_at_owner(ControllerAddr origin, uint64_t op_id, OwnerOp o,
+                      InlineFn<void(const PeerReplyMsg&)> done);
+  // A derive-family syscall (diminish, refine, revtree child, revoke): through the owner path
+  // when this Controller owns the base, else one kRemoteDerive to the owner (Section 3.5).
+  void derive_at_owner(ProcState& p, uint64_t seq, RemoteDeriveMsg rd);
+
   // --- helpers ---
   void reply(ProcState& p, uint64_t seq, ErrorCode status, CapId cid = kInvalidCap);
   // Same, to `pid` if it is still alive (continuations outlive the ProcState& they began on).
   void reply_to(ProcessId pid, uint64_t seq, ErrorCode status, CapId cid = kInvalidCap);
-  // Commit continuation of a syscall that installed `cid` (or failed to install it).
-  InlineFn<void(ErrorCode)> reply_on_commit(ProcessId pid, uint64_t seq,
-                                            Result<CapId> cid = kInvalidCap);
-  // Peer-op continuation of a remote derivation: installs the returned object into `pid`'s
-  // space and replies with its cid.
-  InlineFn<void(Result<PeerReplyMsg>&&)> install_peer_result(ProcessId pid, uint64_t seq);
+  // Owner-path continuation of a syscall that installed `cid` (or failed to install it).
+  OwnerDone reply_on_commit(ProcessId pid, uint64_t seq, Result<CapId> cid = kInvalidCap);
+  // Owner-path continuation of a create or derivation: installs the produced object into
+  // `pid`'s space and replies with its cid.
+  OwnerDone install_on_commit(ProcessId pid, uint64_t seq);
   // Releases one admission-gate slot (no-op for ungated processes).
   static void admission_release(ProcState& p) {
     if (p.admission_inflight > 0) {
@@ -311,6 +341,9 @@ class Controller {
   void apply_revoke(const ObjectTable::RevokeResult& result) {
     apply_revoke_for(addr(), result);
   }
+  // Cleanup step: erases `objects` from `seat`'s table `t` once no peer references them.
+  void reclaim_objects(ControllerAddr seat, ObjectTable& t,
+                       const std::vector<ObjectIndex>& objects);
   void dispatch_monitor_fire(const ObjectTable::MonitorFire& fire);
   void send_peer(ControllerAddr peer, Envelope env, Traffic cat = Traffic::kControl);
   // The memory_copy data path.
@@ -336,13 +369,9 @@ class Controller {
   ObjectTable* serving_table(ControllerAddr owner);
   const ObjectTable* serving_table(ControllerAddr owner) const;
   bool can_mutate_seat(ControllerAddr seat) const;
-  // Commit gate for one capability mutation already applied to the serving table: without a
-  // group, `done(kOk)` runs synchronously (bit-identical off path); with one, `done` runs
-  // when the entry commits (or fails with kNotLeader/kTimeout).
-  void commit_mutation(ControllerAddr seat, ReplicatedOp op, InlineFn<void(ErrorCode)> done);
-  // Fire-and-forget variant for mutations whose replies are not commit-gated (delegation
-  // bookkeeping, erase sweeps, failure translation) — keeps the log a total order of every
-  // mutation so follower replicas converge structurally.
+  // Logs an applied mutation whose effects are not commit-gated (delegation bookkeeping,
+  // erase sweeps, failure translation) — keeps the log a total order of every mutation so
+  // follower replicas converge structurally.
   void log_mutation(ControllerAddr seat, ReplicatedOp op);
   // ReplicationGroup hooks.
   void note_seat_leader(ControllerAddr seat, ControllerAddr leader, uint64_t term);

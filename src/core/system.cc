@@ -221,7 +221,6 @@ Controller& System::add_controller(uint32_t node, Loc loc) {
   cfg.endpoint = Endpoint{node, loc};
   cfg.costs = loc == Loc::kHost ? config_.host_costs : config_.snic_costs;
   cfg.congestion_window = config_.congestion_window;
-  cfg.double_buffer_threshold = config_.double_buffer_threshold;
   cfg.copy_chunk_bytes = config_.copy_chunk_bytes;
   cfg.hw_third_party_copies = config_.hw_third_party_copies;
   cfg.cap_quota = config_.cap_quota;
@@ -297,7 +296,7 @@ std::vector<Controller*> System::controllers() {
 Process& System::spawn(const std::string& name, uint32_t node, Controller& controller,
                        uint64_t heap_bytes) {
   if (heap_bytes == 0) {
-    heap_bytes = config_.default_heap_bytes;
+    heap_bytes = kDefaultHeapBytes;
   }
   const PoolId heap = net_->node(node).add_pool(heap_bytes);
   const ProcessId pid = next_pid_++;

@@ -31,10 +31,8 @@ struct SystemConfig {
   ControllerCosts host_costs = ControllerCosts::host();
   ControllerCosts snic_costs = ControllerCosts::snic();
   uint32_t congestion_window = 1024;
-  uint64_t double_buffer_threshold = 16 * 1024;
   uint64_t copy_chunk_bytes = 64 * 1024;
   bool hw_third_party_copies = false;
-  uint64_t default_heap_bytes = 8ull << 20;
   uint32_t cap_quota = 1u << 20;
   // Section 6.1's suggested optimization: cache serialized Requests at Controllers.
   bool cache_serialized_requests = false;
@@ -89,6 +87,9 @@ struct SystemConfig {
 
 class System {
  public:
+  // Heap pool of a Process spawned without an explicit size.
+  static constexpr uint64_t kDefaultHeapBytes = 8ull << 20;
+
   explicit System(SystemConfig config = {});
 
   EventLoop& loop() { return loop_; }
@@ -108,7 +109,7 @@ class System {
   Controller& add_controller(uint32_t node, Loc loc);
 
   // Spawns a Process on `node`, attached to `controller` (which may be on another node —
-  // the "Shared HAL" deployment of Section 6.5).
+  // the "Shared HAL" deployment of Section 6.5). `heap_bytes` 0 means kDefaultHeapBytes.
   Process& spawn(const std::string& name, uint32_t node, Controller& controller,
                  uint64_t heap_bytes = 0);
 

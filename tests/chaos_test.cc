@@ -718,12 +718,22 @@ TEST(ChaosMonitor, LinkFlapFalsePositiveDoesNotMisrouteCapabilityOps) {
 // state (completed, or provably never-started and repeatable), no capability under the
 // revoked level may ever derive again, the untouched levels must keep working, monitors
 // fire at most once across the failover, and both surviving state machines must report the
-// same structural digest. FRACTOS_FAILOVER_TRACE=<dir> dumps per-step span traces as
-// Chrome trace JSON (the CI failover job uploads them on failure).
+// same structural digest. The revoker is either a Process on a peer (its revoke is a
+// kRemoteDerive to the seat) or a Process on the seat itself, whose revoke takes the
+// seat-local owner path and dies with the seat; either way a monitor fires only once the
+// revocation committed, so whatever fired is invalidated in the takeover leader's replica.
+// FRACTOS_FAILOVER_TRACE=<dir> dumps per-step span traces as Chrome trace JSON (the CI
+// failover job uploads them on failure).
 TEST(ChaosFailover, LeaderKilledMidRevocationHonorsNoStaleCap) {
   const char* trace_dir = std::getenv("FRACTOS_FAILOVER_TRACE");
   Rng step_rng(base_seed() * 0x9e3779b97f4a7c15ull + 1);
-  for (const uint64_t fail_step : {0ull, 1ull, 2ull, 4ull, 8ull, 16ull, 32ull}) {
+  std::vector<std::pair<bool, uint64_t>> runs;  // (seat_local, fail_step)
+  for (const bool seat_local : {false, true}) {
+    for (const uint64_t fail_step : {0ull, 1ull, 2ull, 4ull, 8ull, 16ull, 32ull}) {
+      runs.emplace_back(seat_local, fail_step);
+    }
+  }
+  for (const auto& [seat_local, fail_step] : runs) {
     // The seed shifts every kill point so the CI seed matrix sweeps distinct interleavings.
     const uint64_t kill_step = fail_step + step_rng.next_below(3);
     SystemConfig cfg;
@@ -762,12 +772,25 @@ TEST(ChaosFailover, LeaderKilledMidRevocationHonorsNoStaleCap) {
     watcher.set_monitor_handler([&](uint64_t cb, bool) { ++fires[cb]; });
     ASSERT_TRUE(sys.await(watcher.monitor_receive(l2_w, 2)).ok());
     ASSERT_TRUE(sys.await(watcher.monitor_receive(l4_w, 4)).ok());
+    const std::map<uint64_t, ObjectIndex> watched = {
+        {2, c4.inspect_cap(holder.pid(), l2).value().ref.index},
+        {4, c4.inspect_cap(holder.pid(), l4).value().ref.index},
+    };
+    Process* revoker = &holder;
+    CapId revoke_cid = l2;
+    if (seat_local) {
+      revoker = &sys.spawn("revoker", 0, c1);
+      revoke_cid = sys.bootstrap_grant(holder, l2, *revoker).value();
+    }
 
     // Kill the leader `kill_step` events into the revocation of l2 (subtree l2/l3/l4).
-    auto revoked = holder.cap_revoke(l2);
+    auto revoked = revoker->cap_revoke(revoke_cid);
     sys.loop().run(kill_step);
     const Time killed = sys.loop().now();
     sys.fail_controller(c1);
+    if (seat_local) {
+      sys.fail_process(*revoker);  // a failed Controller's Processes fail with it
+    }
 
     // A replica takes over within the lease bound; rank order makes it c2 every time.
     ASSERT_TRUE(sys.loop().run_until(
@@ -777,6 +800,15 @@ TEST(ChaosFailover, LeaderKilledMidRevocationHonorsNoStaleCap) {
         << "kill_step " << kill_step;
     EXPECT_NE(c2.serves_seat(seat), c3.serves_seat(seat)) << "kill_step " << kill_step;
     sys.loop().run_until_time(sys.loop().now() + Duration::millis(2));
+
+    // A monitor fires only for a committed revocation: whatever fired so far is invalidated
+    // (or already erased) in the takeover leader's replica.
+    Controller& leader = c2.serves_seat(seat) ? c2 : c3;
+    const ObjectTable& takeover = leader.replication_group(seat)->state();
+    for (const auto& [cb, count] : fires) {
+      EXPECT_TRUE(takeover.is_invalidated(watched.at(cb)))
+          << "callback " << cb << " kill_step " << kill_step << " seat_local " << seat_local;
+    }
 
     // The in-flight revocation resolved one way or the other. If its outcome was unknown
     // (leader died holding it), the retry at the takeover leader must land terminally:
@@ -831,9 +863,9 @@ TEST(ChaosFailover, LeaderKilledMidRevocationHonorsNoStaleCap) {
     sys.loop().run();
     if (trace_dir != nullptr) {
       sys.loop().set_span_tracer(nullptr);
+      const std::string step = (seat_local ? "_local_step" : "_step") + std::to_string(fail_step);
       const std::string path = std::string(trace_dir) + "/failover_seed" +
-                               std::to_string(base_seed()) + "_step" +
-                               std::to_string(fail_step) + ".json";
+                               std::to_string(base_seed()) + step + ".json";
       if (std::FILE* f = std::fopen(path.c_str(), "w")) {
         const std::string json = chrome_trace_json(tracer);
         std::fwrite(json.data(), 1, json.size(), f);

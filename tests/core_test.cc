@@ -27,9 +27,9 @@ TEST(CoreLatency, NullOpMatchesTable3OnCpu) {
   Controller& ctrl = sys.add_controller(n0, Loc::kHost);
   Process& p = sys.spawn("app", n0, ctrl);
   // Warm-up (allocates nothing, but keeps the measurement clean).
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const Time before = sys.loop().now();
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const double us = (sys.loop().now() - before).to_us();
   EXPECT_NEAR(us, 3.00, 0.10);  // Table 3: FractOS @ CPU = 3.00 us
 }
@@ -39,9 +39,9 @@ TEST(CoreLatency, NullOpMatchesTable3OnSnic) {
   const uint32_t n0 = sys.add_node("n0");
   Controller& ctrl = sys.add_controller(n0, Loc::kSnic);
   Process& p = sys.spawn("app", n0, ctrl);
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const Time before = sys.loop().now();
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const double us = (sys.loop().now() - before).to_us();
   EXPECT_NEAR(us, 4.50, 0.15);  // Table 3: FractOS @ sNIC = 4.50 us
 }
@@ -332,6 +332,174 @@ TEST_F(CoreTwoNodes, ControllerRestartMakesCapsStale) {
   // Re-meshing exchanged reboot generations, so the stale capability is refused EAGERLY at
   // a's own Controller — no round trip needed (Section 3.6's Lamport-timestamp check).
   EXPECT_EQ(sys_.await(a_->request_invoke(ep_a)).error(), ErrorCode::kStaleCapability);
+}
+
+// --- local/remote equivalence of the owner path -------------------------------------------------
+
+// A capability op run once by a Process on the owning Controller (the seat-local syscall)
+// and once by a Process on a peer (a kRemoteDerive or kRegisterMonitor to the owner) must
+// return the same status and install the same CapEntry: both apply the op through the one
+// owner path. Each run builds the same objects in the same order in a fresh System, so the
+// produced object indices match too.
+enum class EquivOp { kDiminish, kRefine, kRevtree, kRevoke, kMonitorReceive, kMonitorDelegate };
+enum class EquivBase {
+  kLive,       // the caller's entry names a live object
+  kWrongKind,  // the entry claims the other object kind, so only the owner can refuse it
+  kRevoked,    // the object was revoked and reclaimed before the op
+  kStale,      // the entry carries an older reboot generation than the owner's table
+  kTracked,    // the entry is a tracked per-delegation capability
+};
+
+struct EquivCase {
+  const char* name = "";
+  EquivOp op = EquivOp::kDiminish;
+  EquivBase base = EquivBase::kLive;
+  bool request = false;  // the object is a Request (else 8 KiB of Memory)
+  uint64_t offset = 0;   // diminish extent
+  uint64_t size = 4096;
+};
+
+struct EquivOutcome {
+  ErrorCode status = ErrorCode::kOk;
+  std::optional<CapEntry> installed;
+};
+
+EquivOutcome run_equiv_case(const EquivCase& k, bool local) {
+  System sys;
+  const uint32_t n0 = sys.add_node("owner");
+  const uint32_t n1 = sys.add_node("peer");
+  Controller& c0 = sys.add_controller(n0, Loc::kHost);
+  Controller& c1 = sys.add_controller(n1, Loc::kHost);
+  Process& owner = sys.spawn("owner", n0, c0);
+  Process& caller = local ? sys.spawn("caller", n0, c0) : sys.spawn("caller", n1, c1);
+  Controller& cc = local ? c0 : c1;
+
+  const bool request = k.request != (k.base == EquivBase::kWrongKind);
+  CapId own = kInvalidCap;
+  if (request) {
+    own = sys.await_ok(owner.request_create(Process::Args{}.imm_u64(0, 1)));
+  } else {
+    own = sys.await_ok(owner.memory_create(owner.alloc(8192), 8192, Perms::kReadWrite));
+  }
+  CapEntry entry = c0.inspect_cap(owner.pid(), own).value();
+  switch (k.base) {
+    case EquivBase::kLive:
+      break;
+    case EquivBase::kWrongKind:
+      entry.kind = request ? ObjectKind::kMemory : ObjectKind::kRequest;
+      break;
+    case EquivBase::kRevoked:
+      FRACTOS_CHECK(sys.await(owner.cap_revoke(own)).ok());
+      sys.loop().run();
+      break;
+    case EquivBase::kStale:
+      --entry.ref.reboot_count;
+      break;
+    case EquivBase::kTracked:
+      entry.tracked = true;
+      break;
+  }
+  const CapId cid = cc.bootstrap_install(caller.pid(), entry).value();
+
+  Result<CapId> derived = kInvalidCap;
+  Status status = ok_status();
+  switch (k.op) {
+    case EquivOp::kDiminish:
+      derived = sys.await(caller.memory_diminish(cid, k.offset, k.size, Perms::kWrite));
+      break;
+    case EquivOp::kRefine:
+      derived = sys.await(caller.request_derive(cid, Process::Args{}.imm_u64(8, 2)));
+      break;
+    case EquivOp::kRevtree:
+      derived = sys.await(caller.cap_create_revtree(cid));
+      break;
+    case EquivOp::kRevoke:
+      status = sys.await(caller.cap_revoke(cid));
+      break;
+    case EquivOp::kMonitorReceive:
+      status = sys.await(caller.monitor_receive(cid, 7));
+      break;
+    case EquivOp::kMonitorDelegate:
+      status = sys.await(caller.monitor_delegate(cid, 7));
+      break;
+  }
+  sys.loop().run();
+  EquivOutcome out;
+  if (!derived.ok()) {
+    out.status = derived.error();
+  } else if (!status.ok()) {
+    out.status = status.error();
+  } else if (derived.value() != kInvalidCap) {
+    out.installed = cc.inspect_cap(caller.pid(), derived.value()).value();
+  }
+  return out;
+}
+
+TEST(CoreOwnerPath, LocalAndRemoteCallersGetTheSameOutcome) {
+  using enum EquivOp;
+  using enum EquivBase;
+  const EquivCase cases[] = {
+      {"diminish", kDiminish, kLive},
+      {"diminish_wrong_kind", kDiminish, kWrongKind},
+      {"diminish_out_of_range", kDiminish, kLive, false, 4096, 8192},
+      {"diminish_revoked", kDiminish, kRevoked},
+      {"diminish_stale", kDiminish, kStale},
+      {"diminish_tracked", kDiminish, kTracked},
+      {"refine", kRefine, kLive, true},
+      {"refine_wrong_kind", kRefine, kWrongKind, true},
+      {"refine_revoked", kRefine, kRevoked, true},
+      {"refine_stale", kRefine, kStale, true},
+      {"revtree", kRevtree, kLive},
+      {"revtree_request", kRevtree, kLive, true},
+      {"revtree_revoked", kRevtree, kRevoked},
+      {"revtree_stale", kRevtree, kStale},
+      {"revtree_tracked", kRevtree, kTracked},
+      {"revoke", kRevoke, kLive},
+      {"revoke_revoked", kRevoke, kRevoked},
+      {"revoke_stale", kRevoke, kStale},
+      {"monitor_receive", kMonitorReceive, kLive},
+      {"monitor_receive_revoked", kMonitorReceive, kRevoked},
+      {"monitor_receive_stale", kMonitorReceive, kStale},
+      {"monitor_delegate", kMonitorDelegate, kLive, true},
+      {"monitor_delegate_revoked", kMonitorDelegate, kRevoked, true},
+      {"monitor_delegate_stale", kMonitorDelegate, kStale, true},
+  };
+  for (const EquivCase& k : cases) {
+    SCOPED_TRACE(k.name);
+    const EquivOutcome local = run_equiv_case(k, /*local=*/true);
+    const EquivOutcome remote = run_equiv_case(k, /*local=*/false);
+    EXPECT_STREQ(error_code_name(local.status), error_code_name(remote.status));
+    EXPECT_EQ(local.installed.has_value(), remote.installed.has_value());
+    if (local.installed.has_value() && remote.installed.has_value()) {
+      const CapEntry& l = *local.installed;
+      const CapEntry& r = *remote.installed;
+      EXPECT_EQ(l.ref, r.ref);
+      EXPECT_EQ(l.kind, r.kind);
+      EXPECT_EQ(l.perms, r.perms);
+      EXPECT_EQ(l.mem, r.mem);
+      EXPECT_EQ(l.tracked, r.tracked);
+      // A derived capability is never a tracked per-delegation one, whatever its parent was.
+      EXPECT_FALSE(l.tracked);
+    }
+    // Pin what the shared outcome is, not just that both sides agree.
+    switch (k.base) {
+      case kLive:
+      case kTracked: {
+        const bool in_range = k.offset + k.size <= 8192;
+        EXPECT_EQ(local.status, in_range ? ErrorCode::kOk : ErrorCode::kOutOfRange);
+        break;
+      }
+      case kWrongKind:
+        EXPECT_EQ(local.status, ErrorCode::kWrongObjectKind);
+        break;
+      case kRevoked:
+        EXPECT_NE(local.status, ErrorCode::kOk);
+        break;
+      case kStale:
+        EXPECT_EQ(local.status, ErrorCode::kStaleCapability);
+        break;
+    }
+  }
 }
 
 TEST(CoreCongestion, WindowLimitsOutstandingDeliveries) {
